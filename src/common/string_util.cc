@@ -1,7 +1,9 @@
 #include "src/common/string_util.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 namespace forklift {
 
@@ -17,6 +19,39 @@ std::vector<std::string> Split(std::string_view s, char sep) {
     out.emplace_back(s.substr(start, pos - start));
     start = pos + 1;
   }
+}
+
+std::optional<uint64_t> ParseUnsigned(std::string_view s, unsigned base, uint64_t max) {
+  if (s.empty()) {
+    return std::nullopt;
+  }
+  uint64_t value = 0;
+  for (char c : s) {
+    if (c < '0' || c >= static_cast<char>('0' + base)) {
+      return std::nullopt;
+    }
+    uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (digit > max || value > (max - digit) / base) {
+      return std::nullopt;
+    }
+    value = value * base + digit;
+  }
+  return value;
+}
+
+std::optional<double> ParseSeconds(std::string_view s) {
+  // strtod also takes leading whitespace, signs, "inf" and "nan": require a
+  // digit or '.' up front so only plain numbers get that far.
+  if (s.empty() || !(std::isdigit(static_cast<unsigned char>(s[0])) || s[0] == '.')) {
+    return std::nullopt;
+  }
+  std::string text(s);
+  char* end = nullptr;
+  double value = std::strtod(text.c_str(), &end);
+  if (end != text.c_str() + text.size() || !std::isfinite(value)) {
+    return std::nullopt;
+  }
+  return value;
 }
 
 std::vector<std::string> SplitWhitespace(std::string_view s) {

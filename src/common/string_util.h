@@ -2,6 +2,8 @@
 #ifndef SRC_COMMON_STRING_UTIL_H_
 #define SRC_COMMON_STRING_UTIL_H_
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -22,6 +24,17 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 
 // Strips ASCII whitespace from both ends.
 std::string_view Trim(std::string_view s);
+
+// Command-line number parsing. Both accept only a complete, plain value: an
+// empty string, a sign, whitespace, or trailing characters yield nullopt,
+// where strtoul/strtod would silently return 0 or wrap a negative.
+//
+// ParseUnsigned reads digits in `base` (2..10, e.g. 8 for a umask) and
+// rejects values above `max`.
+std::optional<uint64_t> ParseUnsigned(std::string_view s, unsigned base = 10,
+                                      uint64_t max = UINT64_MAX);
+// ParseSeconds reads a finite, non-negative decimal number (e.g. "0.25").
+std::optional<double> ParseSeconds(std::string_view s);
 
 // Human-readable byte size: "4.0KiB", "2.5MiB", "3GiB".
 std::string HumanBytes(uint64_t bytes);

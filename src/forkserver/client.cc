@@ -4,7 +4,6 @@
 #include <sys/socket.h>
 #include <sys/un.h>
 
-#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -12,6 +11,7 @@
 #include "src/common/pipe.h"
 #include "src/faultinject/faultinject.h"
 #include "src/forkserver/fd_transfer.h"
+#include "src/forkserver/wire.h"
 #include "src/obs/registry.h"
 #include "src/obs/trace.h"
 
@@ -31,38 +31,12 @@ Status ReplyToStatus(bool ok, int32_t err, const std::string& context, const cha
   return LogicalError(std::string(what) + ": " + context);
 }
 
-// The legacy client's scratch-encode path: clear the reusable writer, encode
-// the frame, hand back views; mu_ (held across the round trip) serializes the
-// scratch. The pipelined client instead encodes *framed* bytes — length
-// prefix inline — into recycled buffers for the submission queue.
-Status EncodeSpawnFrameInto(WireWriter& w, std::vector<int>* fds, const SpawnRequest& req,
-                            const FrameMeta& meta) {
-  w.Clear();
-  fds->clear();
-  return EncodeSpawnRequestInto(w, req, fds, meta);
-}
-
-void EncodeWaitFrameInto(WireWriter& w, pid_t pid, const FrameMeta& meta) {
-  w.Clear();
-  w.Reserve(20 + 4);
-  EncodeHeaderInto(w, MsgType::kWait, meta);
-  w.PutI32(static_cast<int32_t>(pid));
-}
-
-void EncodeControlFrameInto(WireWriter& w, MsgType type, const FrameMeta& meta) {
-  w.Clear();
-  EncodeHeaderInto(w, type, meta);
-}
-
 // Submission-queue flush caps: one run never exceeds this many frames or
 // bytes, so a burst can't grow a single writev without bound while
 // submitters keep appending (fairness: later frames ride the next run).
 constexpr size_t kMaxFlushFrames = 64;
 constexpr size_t kMaxFlushBytes = 256u << 10;
 constexpr size_t kMaxSpareBufs = 64;
-// Client-side chunking for LaunchBatch: comfortably under kMaxSpawnBatch,
-// large enough that per-frame overhead is noise.
-constexpr size_t kSpawnBatchChunk = 256;
 
 obs::Histogram& FramesPerFlush() {
   static obs::Histogram h =
@@ -70,8 +44,8 @@ obs::Histogram& FramesPerFlush() {
   return h;
 }
 
-// The one socket-connect path both clients share (and the fault site the
-// sweep drives to prove a refused/failed connect degrades cleanly).
+// The client's socket-connect path (and the fault site the sweep drives to
+// prove a refused/failed connect degrades cleanly).
 Result<UniqueFd> ConnectUnixSocket(const std::string& path, const char* who) {
   if (path.size() >= sizeof(sockaddr_un{}.sun_path)) {
     return LogicalError(std::string(who) + ": socket path too long");
@@ -99,24 +73,6 @@ Result<UniqueFd> ConnectUnixSocket(const std::string& path, const char* who) {
 
 }  // namespace
 
-std::vector<Result<pid_t>> RemoteSpawnService::LaunchBatch(
-    const std::vector<SpawnRequest>& reqs) {
-  std::vector<Result<pid_t>> out;
-  out.reserve(reqs.size());
-  for (const SpawnRequest& req : reqs) {
-    out.push_back(LaunchRequest(req));
-  }
-  return out;
-}
-
-Result<std::optional<ExitStatus>> RemoteSpawnService::WaitRemoteFor(pid_t pid,
-                                                                    double timeout_seconds) {
-  (void)pid;
-  (void)timeout_seconds;
-  return LogicalError("forkserver: this transport cannot poll a remote wait "
-                      "(v1 channel? use WaitRemote)");
-}
-
 Result<ExitStatus> RemoteChild::Wait() {
   if (!valid() || service_ == nullptr) {
     return LogicalError("RemoteChild::Wait on invalid handle");
@@ -135,7 +91,7 @@ Status RemoteChild::Kill(int sig) {
 }
 
 // ---------------------------------------------------------------------------
-// ForkServerClient (pipelined, protocol v2)
+// ForkServerClient
 
 // A completion slot. Lifetime: acquired (registered in pending_) at submit,
 // filled by the receiver, released back to free_ by the awaiting caller — or
@@ -288,7 +244,7 @@ void ForkServerClient::DrainQueue(std::unique_lock<std::mutex>& lock) {
   }
 }
 
-Status ForkServerClient::SubmitFdFrame(std::string_view frame, const std::vector<int>& fds) {
+void ForkServerClient::SubmitFdFrame(std::string_view frame, const std::vector<int>& fds) {
   std::unique_lock<std::mutex> lock(q_mu_);
   q_cv_.wait(lock, [this] { return !flushing_; });
   flushing_ = true;
@@ -316,15 +272,15 @@ Status ForkServerClient::SubmitFdFrame(std::string_view frame, const std::vector
   flushing_ = false;
   lock.unlock();
   q_cv_.notify_all();
-  return st;
 }
 
 // Submit contract: a returned error means the frame never hit the wire (the
 // slot was recycled, the request is safely retryable elsewhere — the sharded
 // router relies on this). Once the frame is queued, transport failures are
 // not reported here: they kill the channel and surface through Await*.
-Result<ForkServerClient::PendingReply> ForkServerClient::SubmitSpawn(const SpawnRequest& req,
-                                                                     uint64_t request_id) {
+template <typename Encode>
+Result<ForkServerClient::PendingReply> ForkServerClient::Submit(uint64_t request_id,
+                                                                Encode&& encode) {
   uint64_t id;
   Slot* slot;
   {
@@ -334,12 +290,11 @@ Result<ForkServerClient::PendingReply> ForkServerClient::SubmitSpawn(const Spawn
     }
     slot = AcquireSlotLocked(&id, request_id);
   }
-  const uint64_t send_start = MonotonicNanos();
   WireWriter w;
   w.AdoptBuffer(TakeBuf());
   w.PutU32(0);  // length prefix, backfilled once the size is known
   std::vector<int> fds;
-  Status st = EncodeSpawnRequestInto(w, req, &fds, FrameMeta{kForkServerProtocolV2, id});
+  Status st = encode(w, id, &fds);
   if (st.ok()) {
     w.PokeU32(0, static_cast<uint32_t>(w.size() - 4));
     st = w.status();
@@ -356,98 +311,41 @@ Result<ForkServerClient::PendingReply> ForkServerClient::SubmitSpawn(const Spawn
     SubmitFdFrame(w.data(), fds);
     RecycleBuf(w.Take());
   }
-  // The id on the wire IS the trace id, so the encode+send span correlates
-  // with the service's submit/route spans without any plumbing.
-  obs::Tracer::Global().Record(id, "wire.send", send_start, MonotonicNanos());
-  return PendingReply(this, slot);
-}
-
-Result<ForkServerClient::PendingReply> ForkServerClient::SubmitWait(pid_t pid) {
-  uint64_t id;
-  Slot* slot;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (dead_) {
-      return Err(death_.error());
-    }
-    slot = AcquireSlotLocked(&id, 0);
-  }
-  WireWriter w;
-  w.AdoptBuffer(TakeBuf());
-  w.Reserve(4 + 20 + 4);
-  w.PutU32(0);
-  EncodeHeaderInto(w, MsgType::kWait, FrameMeta{kForkServerProtocolV2, id});
-  w.PutI32(static_cast<int32_t>(pid));
-  w.PokeU32(0, static_cast<uint32_t>(w.size() - 4));
-  if (Status st = w.status(); !st.ok()) {
-    AbortSubmit(id, slot);
-    return Err(st.error());
-  }
-  SubmitFramed(w.Take());
   return PendingReply(this, slot);
 }
 
 Result<ForkServerClient::PendingReply> ForkServerClient::SubmitControl(
     MsgType type, const std::vector<int>& fds) {
-  uint64_t id;
-  Slot* slot;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (dead_) {
-      return Err(death_.error());
-    }
-    slot = AcquireSlotLocked(&id, 0);
-  }
-  WireWriter w;
-  w.AdoptBuffer(TakeBuf());
-  w.PutU32(0);
-  EncodeHeaderInto(w, type, FrameMeta{kForkServerProtocolV2, id});
-  w.PokeU32(0, static_cast<uint32_t>(w.size() - 4));
-  if (Status st = w.status(); !st.ok()) {
-    AbortSubmit(id, slot);
-    return Err(st.error());
-  }
-  if (fds.empty()) {
-    SubmitFramed(w.Take());
-  } else {
-    SubmitFdFrame(w.data(), fds);  // kNewChannel ships its socket inline
-    RecycleBuf(w.Take());
-  }
-  return PendingReply(this, slot);
-}
-
-Result<ForkServerClient::PendingReply> ForkServerClient::SubmitStats(obs::StatsFormat format) {
-  uint64_t id;
-  Slot* slot;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (dead_) {
-      return Err(death_.error());
-    }
-    slot = AcquireSlotLocked(&id, 0);
-  }
-  WireWriter w;
-  w.AdoptBuffer(TakeBuf());
-  w.Reserve(4 + 20 + 1);
-  w.PutU32(0);
-  EncodeHeaderInto(w, MsgType::kStats, FrameMeta{kForkServerProtocolV2, id});
-  w.PutU8(static_cast<uint8_t>(format));
-  w.PokeU32(0, static_cast<uint32_t>(w.size() - 4));
-  if (Status st = w.status(); !st.ok()) {
-    AbortSubmit(id, slot);
-    return Err(st.error());
-  }
-  SubmitFramed(w.Take());
-  return PendingReply(this, slot);
+  return Submit(0, [type, &fds](WireWriter& w, uint64_t id, std::vector<int>* fds_out) {
+    EncodeHeaderInto(w, type, id);
+    *fds_out = fds;
+    return Status::Ok();
+  });
 }
 
 Result<ForkServerClient::PendingReply> ForkServerClient::LaunchAsync(const SpawnRequest& req,
                                                                      uint64_t request_id) {
-  return SubmitSpawn(req, request_id);
+  // The id on the wire IS the trace id, so the encode+send span correlates
+  // with the service's submit/route spans without any plumbing.
+  if (request_id == 0) {
+    request_id = obs::NextRequestId();
+  }
+  const uint64_t send_start = MonotonicNanos();
+  auto pending = Submit(request_id, [&req](WireWriter& w, uint64_t id, std::vector<int>* fds) {
+    return EncodeSpawnRequestInto(w, req, fds, id);
+  });
+  if (pending.ok()) {
+    obs::Tracer::Global().Record(request_id, "wire.send", send_start, MonotonicNanos());
+  }
+  return pending;
 }
 
 Result<ForkServerClient::PendingReply> ForkServerClient::WaitAsync(pid_t pid) {
-  return SubmitWait(pid);
+  return Submit(0, [pid](WireWriter& w, uint64_t id, std::vector<int>*) {
+    EncodeHeaderInto(w, MsgType::kWait, id);
+    w.PutI32(static_cast<int32_t>(pid));
+    return Status::Ok();
+  });
 }
 
 Result<ForkServerClient::PendingReply> ForkServerClient::PingAsync() {
@@ -455,95 +353,11 @@ Result<ForkServerClient::PendingReply> ForkServerClient::PingAsync() {
 }
 
 Result<ForkServerClient::PendingReply> ForkServerClient::StatsAsync(obs::StatsFormat format) {
-  return SubmitStats(format);
-}
-
-Result<std::vector<ForkServerClient::PendingReply>> ForkServerClient::LaunchBatchAsync(
-    const std::vector<SpawnRequest>& reqs, uint64_t first_id) {
-  std::vector<PendingReply> out;
-  if (reqs.empty()) {
-    return out;
-  }
-  if (reqs.size() > kMaxSpawnBatch) {
-    return LogicalError("forkserver client: batch exceeds kMaxSpawnBatch");
-  }
-  const uint64_t base = first_id != 0 ? first_id : obs::NextRequestIdRange(reqs.size());
-  std::vector<Slot*> slots(reqs.size());
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (dead_) {
-      return Err(death_.error());
-    }
-    for (size_t i = 0; i < reqs.size(); ++i) {
-      uint64_t id;
-      slots[i] = AcquireSlotLocked(&id, base + i);
-    }
-  }
-  const uint64_t send_start = MonotonicNanos();
-  WireWriter w;
-  w.AdoptBuffer(TakeBuf());
-  w.PutU32(0);
-  std::vector<int> fds;
-  Status st = EncodeSpawnBatchInto(w, reqs, &fds, FrameMeta{kForkServerProtocolV2, base});
-  if (st.ok()) {
-    w.PokeU32(0, static_cast<uint32_t>(w.size() - 4));
-    st = w.status();
-  }
-  if (!st.ok()) {
-    // Pre-wire failure: unregister the whole id range so the burst is
-    // retryable (singly, or on another shard).
-    std::lock_guard<std::mutex> lock(mu_);
-    for (size_t i = 0; i < reqs.size(); ++i) {
-      pending_.erase(base + i);
-      FreeSlotLocked(slots[i]);
-    }
-    outstanding_.store(pending_.size(), std::memory_order_relaxed);
-    return Err(st.error());
-  }
-  if (fds.empty()) {
-    SubmitFramed(w.Take());
-  } else {
-    SubmitFdFrame(w.data(), fds);
-    RecycleBuf(w.Take());
-  }
-  obs::Tracer::Global().Record(base, "wire.send", send_start, MonotonicNanos());
-  out.reserve(reqs.size());
-  for (Slot* slot : slots) {
-    out.push_back(PendingReply(this, slot));
-  }
-  return out;
-}
-
-std::vector<Result<pid_t>> ForkServerClient::LaunchBatch(const std::vector<SpawnRequest>& reqs) {
-  std::vector<Result<pid_t>> out;
-  out.reserve(reqs.size());
-  size_t i = 0;
-  while (i < reqs.size()) {
-    const size_t n = std::min(reqs.size() - i, kSpawnBatchChunk);
-    // The common case (burst fits one chunk) avoids copying the requests.
-    std::vector<SpawnRequest> copy;
-    const std::vector<SpawnRequest>* chunk = &reqs;
-    if (n != reqs.size()) {
-      copy.assign(reqs.begin() + static_cast<ptrdiff_t>(i),
-                  reqs.begin() + static_cast<ptrdiff_t>(i + n));
-      chunk = &copy;
-    }
-    auto batch = LaunchBatchAsync(*chunk);
-    if (batch.ok()) {
-      for (PendingReply& pending : *batch) {
-        out.push_back(pending.AwaitPid());
-      }
-    } else {
-      // Encode-stage failure — e.g. the chunk's combined fd transfers exceed
-      // the per-frame cap. Fall back to singles so one heavy entry degrades
-      // the burst to the old path instead of failing it.
-      for (size_t j = 0; j < n; ++j) {
-        out.push_back(LaunchRequest((*chunk)[j]));
-      }
-    }
-    i += n;
-  }
-  return out;
+  return Submit(0, [format](WireWriter& w, uint64_t id, std::vector<int>*) {
+    EncodeHeaderInto(w, MsgType::kStats, id);
+    w.PutU8(static_cast<uint8_t>(format));
+    return Status::Ok();
+  });
 }
 
 Result<pid_t> ForkServerClient::AwaitSpawn(Slot* slot) {
@@ -671,17 +485,16 @@ void ForkServerClient::DispatchFrame(const Frame& frame) {
     Die(Err(hdr.error()));
     return;
   }
-  if (hdr->meta.request_id == 0) {
-    // A v1 reply on a v2 channel: the peer did not echo our request_id, so it
-    // cannot be correlated — the channel's pipelining contract is broken
-    // (v1-only server, or the server's unsolicited error reply to a frame it
-    // could not parse). Fail pending requests rather than hang them.
-    Die(LogicalError("forkserver client: uncorrelated v1 reply on pipelined channel "
-                     "(v1-only server?)"));
+  if (hdr->request_id == 0) {
+    // The server's uncorrelated error reply to a frame whose header it could
+    // not parse: the reply names no request, so the channel's framing can no
+    // longer be trusted. Fail pending requests rather than hang them.
+    Die(LogicalError("forkserver client: uncorrelated error reply (server could not parse "
+                     "a frame header)"));
     return;
   }
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = pending_.find(hdr->meta.request_id);
+  auto it = pending_.find(hdr->request_id);
   if (it == pending_.end()) {
     return;  // reply to an aborted submit; drop it
   }
@@ -784,40 +597,8 @@ Result<RemoteChild> ForkServerClient::Spawn(const Spawner& spawner) {
 }
 
 Result<ExitStatus> ForkServerClient::WaitRemote(pid_t pid) {
-  // Adopt a wait parked by WaitRemoteFor rather than racing it with a second
-  // kWait: once the server has served the exit, a fresh kWait gets ECHILD.
-  {
-    std::unique_lock<std::mutex> lock(parked_mu_);
-    auto it = parked_.find(pid);
-    if (it != parked_.end()) {
-      PendingReply pending = std::move(it->second);
-      parked_.erase(it);
-      lock.unlock();
-      return pending.AwaitExit();
-    }
-  }
   FORKLIFT_ASSIGN_OR_RETURN(PendingReply pending, WaitAsync(pid));
   return pending.AwaitExit();
-}
-
-Result<std::optional<ExitStatus>> ForkServerClient::WaitRemoteFor(pid_t pid,
-                                                                  double timeout_seconds) {
-  std::lock_guard<std::mutex> lock(parked_mu_);
-  auto it = parked_.find(pid);
-  if (it == parked_.end()) {
-    auto pending = SubmitWait(pid);
-    if (!pending.ok()) {
-      return Err(pending.error());
-    }
-    it = parked_.emplace(pid, std::move(*pending)).first;
-  }
-  auto st = it->second.AwaitExitFor(timeout_seconds);
-  if (!st.ok() || st.value().has_value()) {
-    // Completion (or transport death) consumed the handle; drop the entry so
-    // a later poll for a recycled pid starts a fresh wait.
-    parked_.erase(it);
-  }
-  return st;
 }
 
 Status ForkServerClient::Ping() {
@@ -939,87 +720,6 @@ Status ForkServerClient::PendingReply::AwaitControl(MsgType expected) {
   client_ = nullptr;
   slot_ = nullptr;
   return client->AwaitControlSlot(slot, expected);
-}
-
-// ---------------------------------------------------------------------------
-// LegacyForkServerClient (v1, one frame in flight)
-
-Result<std::unique_ptr<LegacyForkServerClient>> LegacyForkServerClient::ConnectPath(
-    const std::string& path) {
-  FORKLIFT_ASSIGN_OR_RETURN(UniqueFd sock,
-                            ConnectUnixSocket(path, "LegacyForkServerClient::ConnectPath"));
-  return std::make_unique<LegacyForkServerClient>(std::move(sock));
-}
-
-Result<pid_t> LegacyForkServerClient::LaunchRequest(const SpawnRequest& req) {
-  std::lock_guard<std::mutex> lock(mu_);
-  FORKLIFT_RETURN_IF_ERROR(EncodeSpawnFrameInto(scratch_, &scratch_fds_, req, FrameMeta{}));
-  FORKLIFT_RETURN_IF_ERROR(SendFrame(sock_.get(), scratch_.data(), scratch_fds_));
-  FORKLIFT_ASSIGN_OR_RETURN(RecvResult rr, RecvFrame(sock_.get()));
-  if (rr.eof) {
-    return LogicalError("forkserver client: server closed the socket");
-  }
-  FORKLIFT_ASSIGN_OR_RETURN(SpawnReply reply, DecodeSpawnReply(rr.frame.payload));
-  FORKLIFT_RETURN_IF_ERROR(ReplyToStatus(reply.ok, reply.err, reply.context, "forkserver spawn"));
-  return static_cast<pid_t>(reply.pid);
-}
-
-Result<RemoteChild> LegacyForkServerClient::Spawn(const Spawner& spawner) {
-  FORKLIFT_ASSIGN_OR_RETURN(SpawnRequest req, spawner.BuildRequest());
-  FORKLIFT_ASSIGN_OR_RETURN(pid_t pid, LaunchRequest(req));
-  return RemoteChild(this, pid);
-}
-
-Status LegacyForkServerClient::Ping() {
-  std::lock_guard<std::mutex> lock(mu_);
-  EncodeControlFrameInto(scratch_, MsgType::kPing, FrameMeta{});
-  FORKLIFT_RETURN_IF_ERROR(SendFrame(sock_.get(), scratch_.data()));
-  FORKLIFT_ASSIGN_OR_RETURN(RecvResult rr, RecvFrame(sock_.get()));
-  if (rr.eof) {
-    return LogicalError("forkserver client: server closed during ping");
-  }
-  WireReader reader(rr.frame.payload);
-  FORKLIFT_ASSIGN_OR_RETURN(FrameHeader hdr, DecodeHeader(reader));
-  if (hdr.type != MsgType::kPong) {
-    return LogicalError("forkserver client: expected pong");
-  }
-  return Status::Ok();
-}
-
-Status LegacyForkServerClient::Shutdown() {
-  std::lock_guard<std::mutex> lock(mu_);
-  EncodeControlFrameInto(scratch_, MsgType::kShutdown, FrameMeta{});
-  FORKLIFT_RETURN_IF_ERROR(SendFrame(sock_.get(), scratch_.data()));
-  FORKLIFT_ASSIGN_OR_RETURN(RecvResult rr, RecvFrame(sock_.get()));
-  if (rr.eof) {
-    return Status::Ok();  // server died at EOF: shutdown achieved regardless
-  }
-  WireReader reader(rr.frame.payload);
-  FORKLIFT_ASSIGN_OR_RETURN(FrameHeader hdr, DecodeHeader(reader));
-  if (hdr.type != MsgType::kShutdownAck) {
-    return LogicalError("forkserver client: expected shutdown ack");
-  }
-  return Status::Ok();
-}
-
-Result<ExitStatus> LegacyForkServerClient::WaitRemote(pid_t pid) {
-  std::lock_guard<std::mutex> lock(mu_);
-  EncodeWaitFrameInto(scratch_, pid, FrameMeta{});
-  FORKLIFT_RETURN_IF_ERROR(SendFrame(sock_.get(), scratch_.data()));
-  FORKLIFT_ASSIGN_OR_RETURN(RecvResult rr, RecvFrame(sock_.get()));
-  if (rr.eof) {
-    return LogicalError("forkserver client: server closed during wait");
-  }
-  FORKLIFT_ASSIGN_OR_RETURN(WaitReply reply, DecodeWaitReply(rr.frame.payload));
-  FORKLIFT_RETURN_IF_ERROR(ReplyToStatus(reply.ok, reply.err, reply.context, "forkserver wait"));
-  return reply.status;
-}
-
-Result<pid_t> ForkServerBackend::Launch(const SpawnRequest& req) {
-  if (service_ == nullptr) {
-    return LogicalError("ForkServerBackend: no client");
-  }
-  return service_->LaunchRequest(req);
 }
 
 }  // namespace forklift

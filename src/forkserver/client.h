@@ -1,16 +1,13 @@
 // forklift/forkserver: the client side — talk to a zygote.
 //
-// RemoteChild mirrors spawn::Child for processes that are NOT our children
-// (they belong to the server), so waiting is a protocol round-trip instead of
-// waitpid. ForkServerClient is the pipelined protocol-v2 client: requests are
-// tagged with a request_id and many may be in flight on one channel at once; a
-// dedicated receiver thread matches out-of-order replies back to their
-// issuers, so a slow kWait no longer head-of-line-blocks every other caller
-// sharing the socket. LegacyForkServerClient keeps the v1 one-frame-at-a-time
-// behavior (lock across the round trip) for v1 servers and as the baseline in
-// throughput experiments. ForkServerBackend adapts either — or the sharded
-// pool — to the SpawnBackend interface for fire-and-forget launches through a
-// plain Spawner.
+// ForkServerClient is the one client of the wire protocol. Every request is
+// tagged with a request_id and many may be in flight on one channel at once;
+// a dedicated receiver thread matches out-of-order replies back to their
+// issuers, so a slow kWait never head-of-line-blocks the other callers
+// sharing the socket. RemoteChild mirrors spawn::Child for processes that are
+// NOT our children (they belong to the server), so waiting is a protocol
+// round trip instead of waitpid. SpawnService callers reach the zygote
+// through the transports in service_adapters.h, not through this header.
 #ifndef SRC_FORKSERVER_CLIENT_H_
 #define SRC_FORKSERVER_CLIENT_H_
 
@@ -32,7 +29,6 @@
 #include "src/common/syscall.h"
 #include "src/common/unique_fd.h"
 #include "src/forkserver/protocol.h"
-#include "src/forkserver/wire.h"
 #include "src/obs/export.h"
 #include "src/spawn/backend.h"
 #include "src/spawn/spawner.h"
@@ -40,8 +36,8 @@
 namespace forklift {
 
 // The spawn/wait surface a remote child needs from whatever launched it: a
-// single pipelined channel, a legacy v1 channel, or the sharded pool all
-// implement it, so RemoteChild and ForkServerBackend work against any.
+// single channel and the sharded pool both implement it, so RemoteChild works
+// against either.
 class RemoteSpawnService {
  public:
   virtual ~RemoteSpawnService() = default;
@@ -49,23 +45,8 @@ class RemoteSpawnService {
   // Ships an already-resolved request; returns the remote pid.
   virtual Result<pid_t> LaunchRequest(const SpawnRequest& req) = 0;
 
-  // Ships a burst of requests, returning one result per entry in order. The
-  // default loops LaunchRequest; batch-capable transports override it to put
-  // the whole burst in one kSpawnBatch frame (one writev, one route).
-  virtual std::vector<Result<pid_t>> LaunchBatch(const std::vector<SpawnRequest>& reqs);
-
   // Blocks (via the server) until the child exits.
   virtual Result<ExitStatus> WaitRemote(pid_t pid) = 0;
-
-  // Polls (via the server) for the child's exit, blocking at most
-  // `timeout_seconds` (0 = pure poll); nullopt means still running. This is
-  // the only safe liveness probe for a remote child: the server reaps it on
-  // exit, after which the kernel may recycle the pid, so kill(pid, 0) can
-  // report an unrelated process as "still running". Repeated calls for the
-  // same pid are cheap — the underlying wait is parked server-side once and
-  // re-polled. The default (v1 transports, which cannot park a wait without
-  // stalling the channel) reports the poll as unsupported.
-  virtual Result<std::optional<ExitStatus>> WaitRemoteFor(pid_t pid, double timeout_seconds);
 };
 
 // A process created on our behalf by the fork server. Exit status comes from
@@ -89,7 +70,7 @@ class RemoteChild {
   pid_t pid_ = -1;
 };
 
-// Pipelined protocol-v2 client. Thread-safe: any number of threads may issue
+// The pipelined client. Thread-safe: any number of threads may issue
 // requests concurrently; each request gets a fresh request_id and a
 // completion slot, and the receiver thread completes slots as replies
 // arrive — in whatever order the server answers. Completed slots are
@@ -160,16 +141,6 @@ class ForkServerClient final : public RemoteSpawnService {
   Result<PendingReply> PingAsync();
   Result<PendingReply> StatsAsync(obs::StatsFormat format);
 
-  // Ships a burst of spawns as one kSpawnBatch frame (one encode, one wire
-  // submission, one route through a sharded pool). Returns one PendingReply
-  // per request, in order; entry i completes under request_id first_id + i.
-  // `first_id` 0 allocates a contiguous range via obs::NextRequestIdRange.
-  // Fails whole (no slots registered) on encode errors; the burst must fit
-  // one frame (≤ kMaxSpawnBatch entries, ≤ kMaxFdsPerFrame total fds) — the
-  // synchronous LaunchBatch chunks arbitrary bursts for you.
-  Result<std::vector<PendingReply>> LaunchBatchAsync(const std::vector<SpawnRequest>& reqs,
-                                                     uint64_t first_id = 0);
-
   // --- synchronous API (submit + await) ---
 
   // Ships the spawner's resolved request to the server. Pipe stdio is not
@@ -187,24 +158,12 @@ class ForkServerClient final : public RemoteSpawnService {
   Status Shutdown();
 
   // Used by RemoteChild. The wait parks server-side on the child's pidfd
-  // watch, so it blocks only the calling thread, not the channel. Adopts a
-  // wait already parked by WaitRemoteFor for the same pid, so the two can be
-  // mixed freely — the server serves each child's exit status exactly once.
+  // watch, so it blocks only the calling thread, not the channel. For a
+  // timed wait, keep the PendingReply from WaitAsync and use AwaitExitFor.
   Result<ExitStatus> WaitRemote(pid_t pid) override;
-
-  // Timed/non-blocking exit poll. The first call for a pid submits one kWait
-  // and parks the handle; later calls re-poll the same parked wait until it
-  // completes (the server answers it exactly once, so abandoning it between
-  // polls would lose the exit status). Concurrent polls serialize.
-  Result<std::optional<ExitStatus>> WaitRemoteFor(pid_t pid, double timeout_seconds) override;
 
   // Low-level: ship an already-resolved request; returns the remote pid.
   Result<pid_t> LaunchRequest(const SpawnRequest& req) override;
-
-  // Synchronous batch: chunks the burst to fit per-frame caps, ships each
-  // chunk as one kSpawnBatch frame, awaits every reply. One result per
-  // request, in order.
-  std::vector<Result<pid_t>> LaunchBatch(const std::vector<SpawnRequest>& reqs) override;
 
   // Opens an additional private channel to the same server (the new socket
   // travels over this one via SCM_RIGHTS). With pipelining one channel rarely
@@ -221,10 +180,13 @@ class ForkServerClient final : public RemoteSpawnService {
   bool dead() const;
 
  private:
-  Result<PendingReply> SubmitSpawn(const SpawnRequest& req, uint64_t request_id);
-  Result<PendingReply> SubmitWait(pid_t pid);
+  // The one submit path: registers a completion slot for `request_id` (0
+  // allocates one), has `encode(w, id, &fds)` append the complete frame for
+  // request `id` and name any descriptors it carries, then queues it.
+  template <typename Encode>
+  Result<PendingReply> Submit(uint64_t request_id, Encode&& encode);
+  // A header-only frame, with `fds` attached (kNewChannel ships a socket).
   Result<PendingReply> SubmitControl(MsgType type, const std::vector<int>& fds);
-  Result<PendingReply> SubmitStats(obs::StatsFormat format);
 
   // --- submission queue ---
   // Takes a recycled encode buffer (or a fresh one) for a framed encode.
@@ -236,9 +198,9 @@ class ForkServerClient final : public RemoteSpawnService {
   void SubmitFramed(std::string frame);
   // Synchronous fd-carrying submit: waits out any active flusher, drains the
   // queue for ordering, then sends `frame` (prefix included, `fds` attached
-  // to its first bytes) as one sendmsg. Returns the transport status so the
-  // caller can recycle its buffer either way.
-  Status SubmitFdFrame(std::string_view frame, const std::vector<int>& fds);
+  // to its first bytes) as one sendmsg. Like SubmitFramed, a transport
+  // failure kills the channel rather than being returned.
+  void SubmitFdFrame(std::string_view frame, const std::vector<int>& fds);
   // Drains q_ in gathered runs; called with q_mu_ held and flushing_ set,
   // releases the lock around each writev. On transport failure kills the
   // channel and discards the queue.
@@ -285,55 +247,7 @@ class ForkServerClient final : public RemoteSpawnService {
   bool dead_ = false;
   Status death_ = Status::Ok();
 
-  // WaitRemoteFor's parked waits: at most one in-flight kWait per polled pid,
-  // held across calls. Declared after mu_ (PendingReply destruction discards
-  // its slot under mu_); parked_mu_ is never taken while holding mu_ or q_mu_.
-  std::mutex parked_mu_;
-  std::unordered_map<pid_t, PendingReply> parked_;
-
   std::thread receiver_;  // started last, joined first
-};
-
-// The pre-pipelining client: one v1 frame in flight, a mutex held across the
-// full round trip. Kept for v1-only servers and as the head-of-line-blocking
-// baseline that bench/forkserver_throughput measures the v2 data plane
-// against.
-class LegacyForkServerClient final : public RemoteSpawnService {
- public:
-  explicit LegacyForkServerClient(UniqueFd sock) : sock_(std::move(sock)) {}
-
-  static Result<std::unique_ptr<LegacyForkServerClient>> ConnectPath(const std::string& path);
-
-  Result<RemoteChild> Spawn(const Spawner& spawner);
-  Status Ping();
-  Status Shutdown();
-  Result<ExitStatus> WaitRemote(pid_t pid) override;
-  Result<pid_t> LaunchRequest(const SpawnRequest& req) override;
-
- private:
-  std::mutex mu_;
-  UniqueFd sock_;
-  // Same shared scratch-encode helpers as the pipelined client (the v1 meta
-  // just leaves request_id at 0); mu_ is held across the round trip anyway,
-  // so it also serializes the scratch.
-  WireWriter scratch_;
-  std::vector<int> scratch_fds_;
-};
-
-// SpawnBackend adapter: lets `Spawner::SetCustomBackend(&backend)` route a
-// spawn through the zygote (single channel or sharded pool). The returned pid
-// is NOT waitable by the caller (the server is the parent) — use
-// ForkServerClient::Spawn for supervised children; the adapter exists for
-// latency experiments and fire-and-forget.
-class ForkServerBackend : public SpawnBackend {
- public:
-  explicit ForkServerBackend(RemoteSpawnService* service) : service_(service) {}
-
-  Result<pid_t> Launch(const SpawnRequest& req) override;
-  const char* Name() const override { return "forkserver"; }
-
- private:
-  RemoteSpawnService* service_;
 };
 
 }  // namespace forklift

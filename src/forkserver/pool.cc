@@ -1,88 +1,15 @@
 #include "src/forkserver/pool.h"
 
-#include <signal.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <memory>
 #include <utility>
 
-#include "src/common/pipe.h"
 #include "src/common/syscall.h"
-#include "src/forkserver/client.h"
 #include "src/spawn/service.h"
 #include "src/spawn/spawner.h"
 
 namespace forklift {
-
-namespace {
-
-// ProcessHandle::Impl for a batch-started remote worker. The worker belongs
-// to the fork server, so every wait — blocking, poll, or deadline — is
-// resolved through the server (WaitRemote / WaitRemoteFor). Probing the
-// local pid table (kill(pid, 0)) would be wrong here: the server reaps the
-// worker the moment it exits, after which the kernel may recycle the pid and
-// the probe would report an unrelated process as our still-running worker.
-class RemoteWorkerImpl final : public ProcessHandle::Impl {
- public:
-  RemoteWorkerImpl(RemoteSpawnService* service, pid_t pid) : service_(service), pid_(pid) {}
-
-  pid_t pid() const override { return pid_; }
-
-  Result<ExitStatus> Wait() override {
-    if (exited_.has_value()) {
-      return *exited_;
-    }
-    FORKLIFT_ASSIGN_OR_RETURN(ExitStatus st, service_->WaitRemote(pid_));
-    exited_ = st;
-    return st;
-  }
-
-  Result<std::optional<ExitStatus>> TryWait() override { return PollFor(0); }
-
-  Result<std::optional<ExitStatus>> WaitDeadline(double timeout_seconds) override {
-    return PollFor(timeout_seconds);
-  }
-
-  Status Kill(int sig) override {
-    // Re-probe through the server first: once it has reported the exit the
-    // pid may already name a stranger. A worker exiting between this poll
-    // and the kill is an inherent race, but the common stale-pid case —
-    // signaling long after the server reaped — is closed.
-    auto st = PollFor(0);
-    if (!st.ok()) {
-      return Err(st.error());
-    }
-    if (st.value().has_value()) {
-      return LogicalError("remote worker already exited (pid may be recycled)");
-    }
-    if (::kill(pid_, sig) != 0) {
-      return ErrnoError("kill remote worker");
-    }
-    return Status::Ok();
-  }
-
- private:
-  Result<std::optional<ExitStatus>> PollFor(double timeout_seconds) {
-    if (exited_.has_value()) {
-      return exited_;
-    }
-    FORKLIFT_ASSIGN_OR_RETURN(std::optional<ExitStatus> st,
-                              service_->WaitRemoteFor(pid_, timeout_seconds));
-    if (st.has_value()) {
-      exited_ = st;
-    }
-    return st;
-  }
-
-  RemoteSpawnService* service_;
-  pid_t pid_;
-  // Exit status observed through the server; once set, the pid is dead to us
-  // (and possibly recycled), so no further protocol or signal traffic.
-  std::optional<ExitStatus> exited_;
-};
-
-}  // namespace
 
 ShellWorkerPool::~ShellWorkerPool() {
   if (started_) {
@@ -101,36 +28,28 @@ Status ShellWorkerPool::Start(const Options& opts) {
     FORKLIFT_ASSIGN_OR_RETURN(Reactor reactor, Reactor::Create());
     reactor_.emplace(std::move(reactor));
   }
-  if (opts.remote != nullptr) {
-    Status st = StartRemoteWorkers(opts);
-    if (!st.ok()) {
+  Spawner worker_template = Spawner("/bin/sh")
+                                .Arg("-s")
+                                .SetStdin(Stdio::Pipe())
+                                .SetStdout(Stdio::Pipe())
+                                .SetStderr(Stdio::Null())
+                                .SetBackend(opts.backend);
+  auto spawn_worker = [&]() -> Result<ProcessHandle> {
+    if (opts.service != nullptr) {
+      return opts.service->Spawn(worker_template);
+    }
+    FORKLIFT_ASSIGN_OR_RETURN(Child child, worker_template.Spawn());
+    return ProcessHandle::FromChild(std::move(child));
+  };
+  for (size_t i = 0; i < opts.workers; ++i) {
+    auto handle = spawn_worker();
+    if (!handle.ok()) {
       (void)Stop();
-      return st;
+      return Err(handle.error());
     }
-  } else {
-    Spawner worker_template = Spawner("/bin/sh")
-                                  .Arg("-s")
-                                  .SetStdin(Stdio::Pipe())
-                                  .SetStdout(Stdio::Pipe())
-                                  .SetStderr(Stdio::Null())
-                                  .SetBackend(opts.backend);
-    auto spawn_worker = [&]() -> Result<ProcessHandle> {
-      if (opts.service != nullptr) {
-        return opts.service->Spawn(worker_template);
-      }
-      FORKLIFT_ASSIGN_OR_RETURN(Child child, worker_template.Spawn());
-      return ProcessHandle::FromChild(std::move(child));
-    };
-    for (size_t i = 0; i < opts.workers; ++i) {
-      auto handle = spawn_worker();
-      if (!handle.ok()) {
-        (void)Stop();
-        return Err(handle.error());
-      }
-      Worker w;
-      w.child = std::move(handle).value();
-      workers_.push_back(std::move(w));
-    }
+    Worker w;
+    w.child = std::move(handle).value();
+    workers_.push_back(std::move(w));
   }
   // Arm the watches only once workers_ has its final size: the callbacks
   // index into the vector, so no reallocation may follow.
@@ -145,54 +64,6 @@ Status ShellWorkerPool::Start(const Options& opts) {
   }
   started_ = true;
   return Status::Ok();
-}
-
-Status ShellWorkerPool::StartRemoteWorkers(const Options& opts) {
-  // One kSpawnBatch launches the whole pool. The wire cannot carry pipe
-  // stdio, so each worker's pipes are made locally and the child ends travel
-  // as Stdio::Fd descriptors in the batch frame's SCM_RIGHTS payload; the
-  // parent ends go onto the returned handles. N warm shells then cost one
-  // coalesced submit instead of N spawn round trips.
-  std::vector<Pipe> stdin_pipes;
-  std::vector<Pipe> stdout_pipes;
-  std::vector<SpawnRequest> reqs;
-  stdin_pipes.reserve(opts.workers);
-  stdout_pipes.reserve(opts.workers);
-  reqs.reserve(opts.workers);
-  for (size_t i = 0; i < opts.workers; ++i) {
-    FORKLIFT_ASSIGN_OR_RETURN(Pipe in, MakePipe());
-    FORKLIFT_ASSIGN_OR_RETURN(Pipe out, MakePipe());
-    Spawner s = Spawner("/bin/sh")
-                    .Arg("-s")
-                    .SetStdin(Stdio::Fd(in.read_end.get()))
-                    .SetStdout(Stdio::Fd(out.write_end.get()))
-                    .SetStderr(Stdio::Null());
-    FORKLIFT_ASSIGN_OR_RETURN(SpawnRequest req, s.BuildRequest());
-    reqs.push_back(std::move(req));
-    // The pipes must outlive the LaunchBatch call: the requests' fd plans
-    // borrow these descriptors until the frame is encoded and sent.
-    stdin_pipes.push_back(std::move(in));
-    stdout_pipes.push_back(std::move(out));
-  }
-  std::vector<Result<pid_t>> pids = opts.remote->LaunchBatch(reqs);
-  Status first_error;
-  for (size_t i = 0; i < pids.size(); ++i) {
-    if (!pids[i].ok()) {
-      if (first_error.ok()) {
-        first_error = Err(pids[i].error());
-      }
-      continue;
-    }
-    Worker w;
-    w.child = ProcessHandle::FromImpl(
-        std::make_unique<RemoteWorkerImpl>(opts.remote, pids[i].value()), "forkserver-batch");
-    w.child.stdin_fd() = std::move(stdin_pipes[i].write_end);
-    w.child.stdout_fd() = std::move(stdout_pipes[i].read_end);
-    workers_.push_back(std::move(w));
-  }
-  // Any worker the batch could not launch fails Start as a unit; the caller's
-  // Stop() tears down the ones that did come up.
-  return first_error;
 }
 
 Result<ShellWorkerPool::TaskResult> ShellWorkerPool::ExecuteOn(Worker& w,

@@ -22,7 +22,6 @@
 namespace forklift {
 
 class SpawnService;
-class RemoteSpawnService;
 
 class ShellWorkerPool {
  public:
@@ -34,12 +33,6 @@ class ShellWorkerPool {
     // pipe stdio, so the service's capability check steers them onto a
     // pipe-capable (local) route automatically.
     SpawnService* service = nullptr;
-    // When set (takes precedence over `service`), workers are launched on the
-    // fork server in ONE kSpawnBatch submit: the wire cannot carry pipe
-    // stdio, so the pool makes the pipes locally and ships the child ends as
-    // Stdio::Fd descriptors riding the batch frame's SCM_RIGHTS payload. Not
-    // owned; must outlive the pool (worker waits route back through it).
-    RemoteSpawnService* remote = nullptr;
   };
 
   ShellWorkerPool() = default;
@@ -75,9 +68,6 @@ class ShellWorkerPool {
   };
 
   Result<TaskResult> ExecuteOn(Worker& w, const std::string& command);
-  // The Options::remote path: builds every worker's request (local pipes,
-  // Stdio::Fd child ends) and launches them all with one LaunchBatch call.
-  Status StartRemoteWorkers(const Options& opts);
 
   // Declared before workers_ so each worker's watch (which deregisters
   // against the reactor) is destroyed first. Execute pumps this reactor

@@ -21,15 +21,13 @@
 
 namespace forklift {
 
-// Protocol versions are per-frame: every frame carries the version it was
-// encoded with, and the server answers in the version of the request, so a v1
-// client and a v2 client can share one server (and one channel can in
-// principle mix versions frame by frame). v2 adds a u64 `request_id` after
-// the {magic, version, type} words; replies echo it, which is what lets a
-// client keep many requests in flight and match out-of-order completions.
-inline constexpr uint32_t kForkServerProtocolV1 = 1;
-inline constexpr uint32_t kForkServerProtocolV2 = 2;
-inline constexpr uint32_t kForkServerProtocolVersion = kForkServerProtocolV2;
+// Every frame starts with the same 20-byte header: {magic, version, type}
+// u32 words plus a u64 `request_id`. Replies echo the request_id, which is
+// what lets a client keep many requests in flight on one channel and match
+// out-of-order completions. There is one protocol version; a frame claiming
+// any other is rejected.
+inline constexpr uint32_t kForkServerProtocolVersion = 2;
+inline constexpr size_t kFrameHeaderSize = 20;
 
 enum class MsgType : uint32_t {
   kSpawn = 1,       // client → server: launch this request
@@ -44,13 +42,7 @@ enum class MsgType : uint32_t {
   kNewChannelAck = 10,  // server → client
   kStats = 11,          // client → server: render the metrics registry
   kStatsReply = 12,     // server → client: rendered export (or error)
-  kSpawnBatch = 13,     // client → server: N spawn requests in one frame
 };
-
-// Cap on entries per kSpawnBatch frame. Generous relative to useful burst
-// sizes (the client chunks far below this); exists so a hostile count can't
-// drive allocation.
-inline constexpr uint32_t kMaxSpawnBatch = 1024;
 
 // A SpawnRequest plus the descriptor list its plan references. Local fd
 // numbers in dup2 sources are replaced by indices into `fds` during encoding.
@@ -59,26 +51,21 @@ struct WireSpawnRequest {
   std::vector<int> fds;  // borrowed fds to transfer (encode side)
 };
 
-// Per-frame framing metadata. Defaults encode a v1 frame (request_id is not
-// on the wire), which keeps every pre-pipelining call site byte-identical;
-// pipelining callers pass {kForkServerProtocolV2, id}.
-struct FrameMeta {
-  uint32_t version = kForkServerProtocolV1;
+// A decoded frame header: the message type plus the request_id the reply
+// must echo.
+struct FrameHeader {
+  MsgType type = MsgType::kSpawn;
   uint64_t request_id = 0;
 };
 
-// A decoded frame header: the message type plus the framing metadata the
-// reply must echo.
-struct FrameHeader {
-  MsgType type = MsgType::kSpawn;
-  FrameMeta meta;
-};
-
-// Encodes header {magic, version, type[, request_id]} + typed payload.
-void EncodeHeaderInto(class WireWriter& w, MsgType type, const FrameMeta& meta);
-std::string EncodeHeader(MsgType type, const FrameMeta& meta = {});
-// Decodes and validates the header, leaving the reader at the payload. Both
-// protocol versions are accepted; v1 frames decode with request_id == 0.
+// Every encoder writes the header {magic, version, type, request_id} and then
+// the typed payload. request_id 0 is reserved for the server's uncorrelated
+// error reply to a frame whose header it could not parse. Every decoder
+// validates the header and, when `request_id` is non-null, stores the frame's
+// id there.
+void EncodeHeaderInto(class WireWriter& w, MsgType type, uint64_t request_id);
+std::string EncodeHeader(MsgType type, uint64_t request_id = 0);
+// Decodes and validates the header, leaving the reader at the payload.
 Result<FrameHeader> DecodeHeader(class WireReader& reader);
 
 // kSpawn. Returns the payload and fills `fds_out` with the descriptors (in
@@ -86,43 +73,17 @@ Result<FrameHeader> DecodeHeader(class WireReader& reader);
 // caller-owned (reusable) writer so a hot-path client can encode every spawn
 // into the same scratch buffer; both size the frame up front.
 Status EncodeSpawnRequestInto(WireWriter& w, const SpawnRequest& request,
-                              std::vector<int>* fds_out, const FrameMeta& meta = {});
+                              std::vector<int>* fds_out, uint64_t request_id = 0);
 Result<std::string> EncodeSpawnRequest(const SpawnRequest& request, std::vector<int>* fds_out,
-                                       const FrameMeta& meta = {});
+                                       uint64_t request_id = 0);
 
 // Decodes a kSpawn payload. `received_fds` are the SCM_RIGHTS descriptors in
 // arrival order; the decoded plan's sources point at their (renumbered) fd
 // values. Ownership of the fds stays with the caller; the returned request
-// borrows them and must be launched before they are released. When `meta` is
-// non-null it receives the frame's version/request_id.
+// borrows them and must be launched before they are released.
 Result<SpawnRequest> DecodeSpawnRequest(std::string_view payload,
                                         const std::vector<UniqueFd>& received_fds,
-                                        FrameMeta* meta = nullptr);
-
-// kSpawnBatch: N spawn requests in one frame, amortizing framing and wire
-// syscalls across a burst. Layout after the v2 header: u32 count, then per
-// entry a u32 body length and the same body bytes a kSpawn frame carries (fd
-// transfer indices are LOCAL to the entry; each body ends with its own fd
-// count). The frame's request_id is the BASE of a contiguous range allocated
-// with obs::NextRequestIdRange(count): entry i is answered by an ordinary
-// kSpawnReply under request_id base+i, so batch replies flow through the same
-// completion machinery as single spawns. Batch frames are v2-only — without a
-// request_id there is no way to correlate the N replies.
-Status EncodeSpawnBatchInto(WireWriter& w, const std::vector<SpawnRequest>& requests,
-                            std::vector<int>* fds_out, const FrameMeta& meta);
-
-// Decodes a kSpawnBatch payload. `received_fds` is the concatenation of every
-// entry's descriptors in entry order; each entry's local indices are resolved
-// against its own slice. All-or-nothing: any malformed entry fails the whole
-// frame (the server then answers every slot in the id range with an error).
-Result<std::vector<SpawnRequest>> DecodeSpawnBatch(std::string_view payload,
-                                                   const std::vector<UniqueFd>& received_fds,
-                                                   FrameMeta* meta = nullptr);
-
-// Reads just the header + entry count of a kSpawnBatch frame, so a server
-// whose full decode failed can still address the right number of error
-// replies at the right id range.
-Result<uint32_t> PeekSpawnBatchCount(std::string_view payload, FrameMeta* meta = nullptr);
+                                        uint64_t* request_id = nullptr);
 
 // kSpawnReply.
 struct SpawnReply {
@@ -131,12 +92,12 @@ struct SpawnReply {
   int32_t err = 0;
   std::string context;
 };
-std::string EncodeSpawnReply(const SpawnReply& reply, const FrameMeta& meta = {});
-Result<SpawnReply> DecodeSpawnReply(std::string_view payload, FrameMeta* meta = nullptr);
+std::string EncodeSpawnReply(const SpawnReply& reply, uint64_t request_id = 0);
+Result<SpawnReply> DecodeSpawnReply(std::string_view payload, uint64_t* request_id = nullptr);
 
 // kWait / kWaitReply.
-std::string EncodeWait(int32_t pid, const FrameMeta& meta = {});
-Result<int32_t> DecodeWait(std::string_view payload, FrameMeta* meta = nullptr);
+std::string EncodeWait(int32_t pid, uint64_t request_id = 0);
+Result<int32_t> DecodeWait(std::string_view payload, uint64_t* request_id = nullptr);
 
 struct WaitReply {
   bool ok = false;
@@ -144,15 +105,15 @@ struct WaitReply {
   int32_t err = 0;
   std::string context;
 };
-std::string EncodeWaitReply(const WaitReply& reply, const FrameMeta& meta = {});
-Result<WaitReply> DecodeWaitReply(std::string_view payload, FrameMeta* meta = nullptr);
+std::string EncodeWaitReply(const WaitReply& reply, uint64_t request_id = 0);
+Result<WaitReply> DecodeWaitReply(std::string_view payload, uint64_t* request_id = nullptr);
 
 // kStats / kStatsReply. The request carries one format byte (the
 // obs::StatsFormat wire value: 0 = Prometheus text, 1 = JSON); the reply
 // carries the rendered export body, or an {err, context} pair when rendering
 // failed server-side.
-std::string EncodeStatsRequest(uint8_t format, const FrameMeta& meta = {});
-Result<uint8_t> DecodeStatsRequest(std::string_view payload, FrameMeta* meta = nullptr);
+std::string EncodeStatsRequest(uint8_t format, uint64_t request_id = 0);
+Result<uint8_t> DecodeStatsRequest(std::string_view payload, uint64_t* request_id = nullptr);
 
 struct StatsReply {
   bool ok = false;
@@ -160,11 +121,11 @@ struct StatsReply {
   std::string context;
   std::string body;  // the rendered export when ok
 };
-std::string EncodeStatsReply(const StatsReply& reply, const FrameMeta& meta = {});
-Result<StatsReply> DecodeStatsReply(std::string_view payload, FrameMeta* meta = nullptr);
+std::string EncodeStatsReply(const StatsReply& reply, uint64_t request_id = 0);
+Result<StatsReply> DecodeStatsReply(std::string_view payload, uint64_t* request_id = nullptr);
 
 // Bare control messages (kPing/kPong/kShutdown/kShutdownAck) are header-only.
-std::string EncodeControl(MsgType type, const FrameMeta& meta = {});
+std::string EncodeControl(MsgType type, uint64_t request_id = 0);
 
 }  // namespace forklift
 

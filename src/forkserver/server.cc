@@ -264,7 +264,7 @@ void ForkServer::CompleteParkedWaits(pid_t pid, const ExitStatus& status) {
   reply.ok = true;
   reply.status = status;
   for (const auto& w : waiters) {
-    QueueReply(w.sock, EncodeWaitReply(reply, w.meta));
+    QueueReply(w.sock, EncodeWaitReply(reply, w.request_id));
     Status sent = FlushReplies(w.sock);
     if (!sent.ok()) {
       // The waiter's channel broke while its wait was parked: that client is
@@ -281,8 +281,8 @@ void ForkServer::ArmChildExitWatch(pid_t pid) {
   // Eagerly reap the instant the pidfd signals so the zombie is short-lived
   // and the eventual kWait is served from exited_ without blocking — and any
   // wait already parked on this child is answered right here, out of order
-  // with whatever else the channels are doing. ECHILD (already reaped by the
-  // blocking v1 HandleWait path) leaves no cache entry.
+  // with whatever else the channels are doing. A reap that finds nothing
+  // leaves no cache entry.
   auto watch = ChildWatch::Arm(*reactor_, pid, [this, pid] {
     int raw = 0;
     pid_t reaped = ::waitpid(pid, &raw, WNOHANG);
@@ -387,8 +387,8 @@ Result<bool> ForkServer::HandleFrame(int sock, Frame frame) {
   WireReader reader(frame.payload);
   auto hdr = DecodeHeader(reader);
   if (!hdr.ok()) {
-    // Unparseable header: there is no version or request_id to echo, so the
-    // error reply is a v1 frame — the one shape every peer can decode.
+    // Unparseable header: there is no request_id to echo, so the error reply
+    // goes out under the reserved id 0 and the client fails the channel.
     SpawnReply reply;
     reply.ok = false;
     reply.context = hdr.error().ToString();
@@ -396,30 +396,23 @@ Result<bool> ForkServer::HandleFrame(int sock, Frame frame) {
     return true;
   }
 
-  // Replies speak the version of the request and echo its request_id: this
-  // per-frame mirroring IS the version negotiation — v1 peers keep their
-  // lockstep framing, v2 peers get correlated out-of-order completions.
-  const FrameMeta reply_meta = hdr->meta;
+  // Every reply echoes its request's id.
+  const uint64_t id = hdr->request_id;
   switch (hdr->type) {
     case MsgType::kSpawn: {
-      FORKLIFT_RETURN_IF_ERROR(HandleSpawn(sock, frame.payload, std::move(frame.fds), reply_meta));
-      return true;
-    }
-    case MsgType::kSpawnBatch: {
-      FORKLIFT_RETURN_IF_ERROR(
-          HandleSpawnBatch(sock, frame.payload, std::move(frame.fds), reply_meta));
+      HandleSpawn(sock, frame.payload, std::move(frame.fds), id);
       return true;
     }
     case MsgType::kWait: {
-      FORKLIFT_RETURN_IF_ERROR(HandleWait(sock, frame.payload, reply_meta));
+      FORKLIFT_RETURN_IF_ERROR(HandleWait(sock, frame.payload, id));
       return true;
     }
     case MsgType::kStats: {
-      FORKLIFT_RETURN_IF_ERROR(HandleStats(sock, frame.payload, reply_meta));
+      HandleStats(sock, frame.payload, id);
       return true;
     }
     case MsgType::kPing: {
-      QueueReply(sock, EncodeControl(MsgType::kPong, reply_meta));
+      QueueReply(sock, EncodeControl(MsgType::kPong, id));
       return true;
     }
     case MsgType::kNewChannel: {
@@ -427,24 +420,24 @@ Result<bool> ForkServer::HandleFrame(int sock, Frame frame) {
         SpawnReply reply;
         reply.ok = false;
         reply.context = "forkserver: kNewChannel must carry exactly one socket";
-        QueueReply(sock, EncodeSpawnReply(reply, reply_meta));
+        QueueReply(sock, EncodeSpawnReply(reply, id));
         return true;
       }
       int adopted = frame.fds[0].get();
       socks_.push_back(std::move(frame.fds[0]));
       FORKLIFT_RETURN_IF_ERROR(RegisterChannel(adopted));
-      QueueReply(sock, EncodeControl(MsgType::kNewChannelAck, reply_meta));
+      QueueReply(sock, EncodeControl(MsgType::kNewChannelAck, id));
       return true;
     }
     case MsgType::kShutdown: {
-      QueueReply(sock, EncodeControl(MsgType::kShutdownAck, reply_meta));
+      QueueReply(sock, EncodeControl(MsgType::kShutdownAck, id));
       return false;
     }
     default: {
       SpawnReply reply;
       reply.ok = false;
       reply.context = "forkserver: unexpected message type";
-      QueueReply(sock, EncodeSpawnReply(reply, reply_meta));
+      QueueReply(sock, EncodeSpawnReply(reply, id));
       return true;
     }
   }
@@ -472,11 +465,25 @@ Result<std::vector<UniqueFd>> ForkServer::RelocateFds(std::vector<UniqueFd> fds)
   return high_fds;
 }
 
-SpawnReply ForkServer::LaunchDecoded(const SpawnRequest& req) {
+void ForkServer::HandleSpawn(int sock, const std::string& payload, std::vector<UniqueFd> fds,
+                             uint64_t request_id) {
   SpawnReply reply;
-  auto pid = ForkExecBackend().Launch(req);
+  auto high_fds = RelocateFds(std::move(fds));
+  if (!high_fds.ok()) {
+    reply.err = high_fds.error().code();
+    reply.context = high_fds.error().ToString();
+    QueueReply(sock, EncodeSpawnReply(reply, request_id));
+    return;
+  }
+  auto req = DecodeSpawnRequest(payload, *high_fds);
+  if (!req.ok()) {
+    reply.err = req.error().code();
+    reply.context = req.error().ToString();
+    QueueReply(sock, EncodeSpawnReply(reply, request_id));
+    return;
+  }
+  auto pid = ForkExecBackend().Launch(*req);
   if (!pid.ok()) {
-    reply.ok = false;
     reply.err = pid.error().code();
     reply.context = pid.error().ToString();
   } else {
@@ -489,80 +496,10 @@ SpawnReply ForkServer::LaunchDecoded(const SpawnRequest& req) {
     // registry arena exists, every shard's spawns land in one counter.
     obs::MetricsRegistry::Global().GetCounter("forklift_forkserver_spawns_total").Increment();
   }
-  return reply;
+  QueueReply(sock, EncodeSpawnReply(reply, request_id));
 }
 
-Status ForkServer::HandleSpawn(int sock, const std::string& payload,
-                               std::vector<UniqueFd> fds, const FrameMeta& reply_meta) {
-  auto high_fds = RelocateFds(std::move(fds));
-  if (!high_fds.ok()) {
-    SpawnReply reply;
-    reply.ok = false;
-    reply.err = high_fds.error().code();
-    reply.context = high_fds.error().ToString();
-    QueueReply(sock, EncodeSpawnReply(reply, reply_meta));
-    return Status::Ok();
-  }
-
-  auto req = DecodeSpawnRequest(payload, *high_fds);
-  SpawnReply reply;
-  if (!req.ok()) {
-    reply.ok = false;
-    reply.err = req.error().code();
-    reply.context = req.error().ToString();
-  } else {
-    reply = LaunchDecoded(*req);
-  }
-  QueueReply(sock, EncodeSpawnReply(reply, reply_meta));
-  return Status::Ok();
-}
-
-Status ForkServer::HandleSpawnBatch(int sock, const std::string& payload,
-                                    std::vector<UniqueFd> fds, const FrameMeta& reply_meta) {
-  // Every outcome must answer each entry in the id range [base, base+count)
-  // with an ordinary kSpawnReply, so the client's per-slot completion
-  // machinery never learns the burst was one frame.
-  const auto answer_all = [this, sock, &reply_meta, &payload](const Error& err) {
-    SpawnReply reply;
-    reply.ok = false;
-    reply.err = err.code();
-    reply.context = err.ToString();
-    // The count peek reads only the header + count word, so it usually
-    // survives whatever broke the full decode and every slot in the range
-    // gets its error. If even the count is unreadable, answer with an
-    // uncorrelated v1 error frame: hanging N slots forever is worse than the
-    // client tearing the channel down.
-    auto count = PeekSpawnBatchCount(payload);
-    if (!count.ok()) {
-      QueueReply(sock, EncodeSpawnReply(reply));
-      return;
-    }
-    for (uint32_t i = 0; i < *count; ++i) {
-      FrameMeta meta{reply_meta.version, reply_meta.request_id + i};
-      QueueReply(sock, EncodeSpawnReply(reply, meta));
-    }
-  };
-
-  auto high_fds = RelocateFds(std::move(fds));
-  if (!high_fds.ok()) {
-    answer_all(high_fds.error());
-    return Status::Ok();
-  }
-  auto reqs = DecodeSpawnBatch(payload, *high_fds);
-  if (!reqs.ok()) {
-    answer_all(reqs.error());
-    return Status::Ok();
-  }
-  for (size_t i = 0; i < reqs->size(); ++i) {
-    SpawnReply reply = LaunchDecoded((*reqs)[i]);
-    FrameMeta meta{reply_meta.version, reply_meta.request_id + static_cast<uint64_t>(i)};
-    QueueReply(sock, EncodeSpawnReply(reply, meta));
-  }
-  return Status::Ok();
-}
-
-Status ForkServer::HandleStats(int sock, const std::string& payload,
-                               const FrameMeta& reply_meta) {
+void ForkServer::HandleStats(int sock, const std::string& payload, uint64_t request_id) {
   obs::MetricsRegistry::Global().GetCounter("forklift_forkserver_stats_requests_total")
       .Increment();
   StatsReply reply;
@@ -586,11 +523,10 @@ Status ForkServer::HandleStats(int sock, const std::string& payload,
       reply.body = obs::Render(static_cast<obs::StatsFormat>(*format));
     }
   }
-  QueueReply(sock, EncodeStatsReply(reply, reply_meta));
-  return Status::Ok();
+  QueueReply(sock, EncodeStatsReply(reply, request_id));
 }
 
-Status ForkServer::HandleWait(int sock, const std::string& payload, const FrameMeta& reply_meta) {
+Status ForkServer::HandleWait(int sock, const std::string& payload, uint64_t request_id) {
   auto pid = DecodeWait(payload);
   WaitReply reply;
   if (!pid.ok()) {
@@ -609,21 +545,19 @@ Status ForkServer::HandleWait(int sock, const std::string& payload, const FrameM
       reply.status = cached->second;
       exited_.erase(cached);
       live_children_.erase(p);
-    } else if (reply_meta.version >= kForkServerProtocolV2 && watches_.count(p) > 0) {
-      // Not yet exited, and the caller can correlate an out-of-order reply:
-      // park the wait on the child's exit watch and keep the channel moving.
-      // The reply is sent by CompleteParkedWaits when the pidfd fires.
-      parked_waits_[p].push_back(ParkedWait{sock, reply_meta});
+    } else if (watches_.count(p) > 0) {
+      // Not yet exited: park the wait on the child's exit watch and keep the
+      // channel moving. The reply is sent by CompleteParkedWaits when the
+      // pidfd fires.
+      parked_waits_[p].push_back(ParkedWait{sock, request_id});
       return Status::Ok();
     } else {
-      // v1 peer (lockstep framing — an out-of-order park would desequence its
-      // replies) or a child whose exit watch failed to arm: disarm the watch
-      // (we are about to steal its reap) and block. This stalls all channels —
-      // the documented trade for v1 compatibility. Flush anything already
-      // queued on this channel first: a coalesced burst's earlier replies
-      // must not sit unsent behind a potentially unbounded child lifetime.
+      // The child's exit watch failed to arm (fault recovery): there is
+      // nothing to park on, so block in waitpid. This stalls all channels
+      // until the child exits. Flush anything already queued on this channel
+      // first: a coalesced burst's earlier replies must not sit unsent behind
+      // a potentially unbounded child lifetime.
       FORKLIFT_RETURN_IF_ERROR(FlushReplies(sock));
-      watches_.erase(p);
       auto st = WaitForExit(p);
       if (!st.ok()) {
         reply.ok = false;
@@ -633,14 +567,13 @@ Status ForkServer::HandleWait(int sock, const std::string& payload, const FrameM
         reply.ok = true;
         reply.status = *st;
         live_children_.erase(p);
-        // Any v2 waits parked on the same child complete with the status this
-        // blocking reap just obtained — the exit watch it displaced will
-        // never fire.
+        // Waits parked while a watch that fired without reaping was still
+        // registered complete with the status this blocking reap obtained.
         CompleteParkedWaits(p, *st);
       }
     }
   }
-  QueueReply(sock, EncodeWaitReply(reply, reply_meta));
+  QueueReply(sock, EncodeWaitReply(reply, request_id));
   return Status::Ok();
 }
 

@@ -10,11 +10,9 @@
 // the daemon listener, and a pidfd per live child — so a child's exit is
 // observed (and its status cached for the eventual kWait) without any
 // polling tick. Single-threaded by design: a zygote must stay small and must
-// not hold locks across its forks. Replies are answered out of order: a
-// protocol-v2 kWait for a child that has not yet exited parks on that child's
-// pidfd watch and is answered when the exit is observed, so it never blocks
-// the channel; only a v1 kWait still takes the historical blocking path (the
-// documented single-thread trade for v1 peers).
+// not hold locks across its forks. Replies are answered out of order: a kWait
+// for a child that has not yet exited parks on that child's pidfd watch and
+// is answered when the exit is observed, so it never blocks the channel.
 #ifndef SRC_FORKSERVER_SERVER_H_
 #define SRC_FORKSERVER_SERVER_H_
 
@@ -75,10 +73,10 @@ class ForkServer {
   }
 
  private:
-  // A v2 kWait for a live child, parked until its pidfd watch fires.
+  // A kWait for a live child, parked until its pidfd watch fires.
   struct ParkedWait {
     int sock = -1;
-    FrameMeta meta;
+    uint64_t request_id = 0;
   };
 
   // Per-channel wire state: the receive-side reassembly buffer and the
@@ -92,18 +90,13 @@ class ForkServer {
 
   // Returns true when the server should keep running.
   Result<bool> HandleFrame(int sock, struct Frame frame);
-  Status HandleSpawn(int sock, const std::string& payload, std::vector<UniqueFd> fds,
-                     const FrameMeta& reply_meta);
-  Status HandleSpawnBatch(int sock, const std::string& payload, std::vector<UniqueFd> fds,
-                          const FrameMeta& reply_meta);
-  Status HandleWait(int sock, const std::string& payload, const FrameMeta& reply_meta);
-  Status HandleStats(int sock, const std::string& payload, const FrameMeta& reply_meta);
+  void HandleSpawn(int sock, const std::string& payload, std::vector<UniqueFd> fds,
+                   uint64_t request_id);
+  Status HandleWait(int sock, const std::string& payload, uint64_t request_id);
+  void HandleStats(int sock, const std::string& payload, uint64_t request_id);
   // Dups every received descriptor above the plan-reachable range
   // (faultinject site `forkserver.relocate_fd`); errno error on failure.
   Result<std::vector<UniqueFd>> RelocateFds(std::vector<UniqueFd> fds);
-  // The launch half of a spawn once the request is decoded: fork+exec, child
-  // bookkeeping (live set, exit watch, counters), reply construction.
-  SpawnReply LaunchDecoded(const SpawnRequest& req);
   // Appends one framed reply to `sock`'s coalescing buffer (falls back to a
   // direct send for unregistered sockets).
   void QueueReply(int sock, std::string_view payload);

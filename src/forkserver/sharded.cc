@@ -236,70 +236,6 @@ Result<pid_t> ShardedForkServer::LaunchRequest(const SpawnRequest& req) {
   return pending.AwaitPid();
 }
 
-std::vector<Result<pid_t>> ShardedForkServer::LaunchBatch(const std::vector<SpawnRequest>& reqs) {
-  std::vector<Result<pid_t>> out;
-  if (reqs.empty()) {
-    return out;
-  }
-  Status last_error = Status::Ok();
-  // Same retry contract as LaunchAsync: a batch submit failure is pre-wire
-  // (no frame reached a healthy channel), so one re-route cannot double-fork.
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    size_t idx;
-    uint64_t generation;
-    std::shared_ptr<ForkServerClient> client;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (shut_down_) {
-        last_error = LogicalError("sharded forkserver: already shut down");
-        break;
-      }
-      auto routed = RouteLocked();  // forklint:ignore(R9) — see StartShardLocked
-      if (!routed.ok()) {
-        last_error = Err(routed.error());
-        break;
-      }
-      idx = *routed;
-      generation = shards_[idx].generation;
-      client = shards_[idx].client;
-    }
-    auto batch = client->LaunchBatchAsync(reqs);
-    if (!batch.ok()) {
-      if (client->dead()) {
-        last_error = Err(batch.error());
-        NoteShardFailure(idx, generation);
-        continue;
-      }
-      // The channel is healthy: the frame format rejected the burst (entry
-      // or fd caps). Degrade to per-request routing instead of failing it.
-      return RemoteSpawnService::LaunchBatch(reqs);
-    }
-    obs::Tracer::Global().Event(obs::NextRequestId(), "shard.dispatch_batch",
-                                "shard=" + std::to_string(idx) +
-                                    " n=" + std::to_string(reqs.size()));
-    out.reserve(reqs.size());
-    bool channel_died = false;
-    for (ForkServerClient::PendingReply& pending : *batch) {
-      auto pid = pending.AwaitPid();
-      if (pid.ok()) {
-        RegisterChild(*pid, idx, generation);
-      } else if (client->dead()) {
-        channel_died = true;
-      }
-      out.push_back(std::move(pid));
-    }
-    if (channel_died) {
-      NoteShardFailure(idx, generation);
-    }
-    return out;
-  }
-  out.reserve(reqs.size());
-  for (size_t i = 0; i < reqs.size(); ++i) {
-    out.push_back(Err(last_error.error()));
-  }
-  return out;
-}
-
 Result<ExitStatus> ShardedForkServer::WaitRemote(pid_t pid) {
   size_t idx;
   uint64_t generation;
@@ -324,42 +260,6 @@ Result<ExitStatus> ShardedForkServer::WaitRemote(pid_t pid) {
   bool channel_died = client->dead();
   client.reset();
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    owner_.erase(pid);
-  }
-  if (!status.ok() && channel_died) {
-    NoteShardFailure(idx, generation);
-  }
-  return status;
-}
-
-Result<std::optional<ExitStatus>> ShardedForkServer::WaitRemoteFor(pid_t pid,
-                                                                   double timeout_seconds) {
-  size_t idx;
-  uint64_t generation;
-  std::shared_ptr<ForkServerClient> client;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = owner_.find(pid);
-    if (it == owner_.end()) {
-      return Err(Error(ECHILD, "sharded forkserver: pid " + std::to_string(pid) +
-                                   " is not owned by any live shard"));
-    }
-    idx = it->second.first;
-    generation = it->second.second;
-    if (shards_[idx].generation != generation || shards_[idx].client == nullptr) {
-      owner_.erase(it);
-      return Err(Error(ECHILD, "sharded forkserver: owning shard of pid " +
-                                   std::to_string(pid) + " is gone"));
-    }
-    client = shards_[idx].client;
-  }
-  auto status = client->WaitRemoteFor(pid, timeout_seconds);
-  bool channel_died = client->dead();
-  client.reset();
-  if (!status.ok() || status.value().has_value()) {
-    // Completed (or the wait is unrecoverable): the ownership entry has
-    // served its purpose. A timed-out poll keeps it for the next poll.
     std::lock_guard<std::mutex> lock(mu_);
     owner_.erase(pid);
   }

@@ -5,7 +5,7 @@
 // pattern was meant to remove. ShardedForkServer is the front-end that fixes
 // the fan-in: it launches N fork-server processes (default one per online
 // CPU), routes each spawn to the shard with the fewest requests in flight
-// (every shard channel is a pipelined v2 ForkServerClient), keeps kWait
+// (every shard channel is a pipelined ForkServerClient), keeps kWait
 // affine to the shard that owns the child (only that shard is the parent),
 // and transparently restarts a shard that crashes. In-flight requests on a
 // crashed shard complete exactly once, with a clean error — never silently
@@ -81,18 +81,9 @@ class ShardedForkServer final : public RemoteSpawnService {
   // trace id so the wire frame and the shard.dispatch span carry it.
   Result<PendingSpawn> LaunchAsync(const SpawnRequest& req, uint64_t trace_id = 0);
 
-  // RemoteSpawnService: synchronous routed spawn / affine wait. The timed
-  // poll routes to the owning shard like WaitRemote, but keeps the pid→shard
-  // entry until the wait actually completes (or fails).
+  // RemoteSpawnService: synchronous routed spawn / affine wait.
   Result<pid_t> LaunchRequest(const SpawnRequest& req) override;
   Result<ExitStatus> WaitRemote(pid_t pid) override;
-  Result<std::optional<ExitStatus>> WaitRemoteFor(pid_t pid, double timeout_seconds) override;
-
-  // Routes the whole burst to ONE shard as a single kSpawnBatch frame — a
-  // coalesced run is a unit, not N routing decisions — and awaits every
-  // reply. Bursts the frame format cannot carry (over the entry or fd caps)
-  // degrade to the per-request routed path.
-  std::vector<Result<pid_t>> LaunchBatch(const std::vector<SpawnRequest>& reqs) override;
 
   // Ships the spawner's resolved request through the pool.
   Result<RemoteChild> Spawn(const Spawner& spawner);

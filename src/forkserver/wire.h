@@ -54,8 +54,8 @@ class WireWriter {
   void PutBool(bool b) { PutU8(b ? 1 : 0); }
 
   // Overwrites 4 bytes at `pos` (a placeholder written earlier with PutU32).
-  // Backfills length prefixes for sections whose size is known only after
-  // encoding, e.g. kSpawnBatch entry bodies.
+  // Backfills length prefixes whose size is known only after encoding, e.g.
+  // the frame length a client writes ahead of the frame it encodes in place.
   void PokeU32(size_t pos, uint32_t v) {
     if (pos + sizeof(v) > buf_.size()) {
       overflow_ = true;
@@ -120,18 +120,6 @@ class WireReader {
     std::string s(data_.substr(pos_, len));
     pos_ += len;
     return s;
-  }
-
-  // Returns a view of the next `n` raw bytes and advances past them. The view
-  // aliases the reader's underlying buffer — valid only while it lives.
-  // kSpawnBatch uses this to slice per-entry bodies without copying.
-  Result<std::string_view> GetBytes(size_t n) {
-    if (pos_ + n > data_.size() || pos_ + n < pos_) {
-      return Truncated("bytes");
-    }
-    std::string_view v = data_.substr(pos_, n);
-    pos_ += n;
-    return v;
   }
 
   bool AtEnd() const { return pos_ == data_.size(); }

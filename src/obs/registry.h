@@ -12,7 +12,7 @@
 // meant to run once, at construction/bind time.
 //
 // The arena also owns the process-tree-wide request-id allocator
-// (NextRequestId): protocol-v2 request ids double as trace ids, so they must
+// (NextRequestId): wire request ids double as trace ids, so they must
 // be unique across every channel and shard a process talks to — a single
 // shared fetch_add gives exactly that, and never returns 0 (the pipelined
 // client treats a zero request_id as a protocol violation).
@@ -148,12 +148,6 @@ class MetricsRegistry {
 // Allocates the next process-tree-unique request/trace id. Starts at 1 and
 // never returns 0.
 uint64_t NextRequestId();
-
-// Allocates `n` consecutive ids in one fetch_add and returns the first.
-// kSpawnBatch frames carry one base id; entry i is answered under base+i, so
-// the whole range must come from the same allocator that single spawns use.
-// n == 0 is treated as 1.
-uint64_t NextRequestIdRange(uint64_t n);
 
 }  // namespace obs
 }  // namespace forklift

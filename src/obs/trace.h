@@ -1,4 +1,4 @@
-// forklift/obs: span-based tracing keyed by protocol-v2 request ids.
+// forklift/obs: span-based tracing keyed by wire request ids.
 //
 // Every spawn routed through SpawnService allocates one NextRequestId() and
 // threads it down the stack: the service records the submit and per-route

@@ -61,8 +61,6 @@ const char* SpawnBackendKindName(SpawnBackendKind kind) {
       return "posix_spawn";
     case SpawnBackendKind::kCloneVm:
       return "clone_vm";
-    case SpawnBackendKind::kCustom:
-      return "custom";
   }
   return "?";
 }

@@ -73,7 +73,7 @@ class ProcessHandle {
 
   // The request/trace id the spawn ran under (0 when not routed through
   // SpawnService). Keys this process's spans in obs::Tracer; on the wire
-  // routes it equals the protocol-v2 request_id.
+  // routes it equals the wire request_id.
   uint64_t trace_id() const { return trace_id_; }
   void set_trace_id(uint64_t id) { trace_id_ = id; }
 

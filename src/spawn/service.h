@@ -75,7 +75,7 @@ class SpawnTransport {
   virtual Status Probe() { return Status::Ok(); }
 
   // Launches. `trace_id` is the request's trace id (the service allocates it
-  // via obs::NextRequestId); wire transports MUST use it as the protocol-v2
+  // via obs::NextRequestId); wire transports MUST use it as the frame's
   // request_id so the frame on the wire and the trace spans correlate, and
   // may record transport-level spans under it. On failure, *failure
   // classifies the error for the router (implementations must always set it

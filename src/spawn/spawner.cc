@@ -133,15 +133,6 @@ Spawner& Spawner::AddRlimit(int resource, rlim_t soft, rlim_t hard) {
 
 Spawner& Spawner::SetBackend(SpawnBackendKind kind) {
   backend_kind_ = kind;
-  if (kind != SpawnBackendKind::kCustom) {
-    custom_backend_ = nullptr;
-  }
-  return *this;
-}
-
-Spawner& Spawner::SetCustomBackend(SpawnBackend* backend) {
-  custom_backend_ = backend;
-  backend_kind_ = SpawnBackendKind::kCustom;
   return *this;
 }
 
@@ -422,9 +413,6 @@ Result<Child> Spawner::Spawn() {
       break;
     case SpawnBackendKind::kCloneVm:
       backend = &Clone3Backend();
-      break;
-    case SpawnBackendKind::kCustom:
-      backend = custom_backend_;
       break;
   }
   if (backend == nullptr) {

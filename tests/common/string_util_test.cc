@@ -59,6 +59,34 @@ TEST(TrimTest, StripsBothEnds) {
   EXPECT_EQ(Trim(" a b "), "a b");
 }
 
+TEST(ParseUnsignedTest, AcceptsOnlyWholePlainNumbers) {
+  EXPECT_EQ(ParseUnsigned("0"), 0u);
+  EXPECT_EQ(ParseUnsigned("42"), 42u);
+  EXPECT_EQ(ParseUnsigned("18446744073709551615"), UINT64_MAX);
+  for (const char* bad : {"", "abc", "4x", " 4", "4 ", "-1", "+1", "0x10",
+                          "18446744073709551616"}) {
+    EXPECT_FALSE(ParseUnsigned(bad).has_value()) << bad;
+  }
+}
+
+TEST(ParseUnsignedTest, BaseAndMax) {
+  EXPECT_EQ(ParseUnsigned("022", 8, 0777), 022u);
+  EXPECT_EQ(ParseUnsigned("777", 8, 0777), 0777u);
+  EXPECT_FALSE(ParseUnsigned("1000", 8, 0777).has_value());
+  EXPECT_FALSE(ParseUnsigned("8", 8).has_value());
+  EXPECT_FALSE(ParseUnsigned("11", 10, 10).has_value());
+}
+
+TEST(ParseSecondsTest, FiniteNonNegativeOnly) {
+  EXPECT_EQ(ParseSeconds("0"), 0.0);
+  EXPECT_EQ(ParseSeconds("0.25"), 0.25);
+  EXPECT_EQ(ParseSeconds(".5"), 0.5);
+  EXPECT_EQ(ParseSeconds("3"), 3.0);
+  for (const char* bad : {"", "abc", "1s", " 1", "-1", "+1", "inf", "nan", "1e999"}) {
+    EXPECT_FALSE(ParseSeconds(bad).has_value()) << bad;
+  }
+}
+
 TEST(HumanBytesTest, UnitsAndRounding) {
   EXPECT_EQ(HumanBytes(0), "0B");
   EXPECT_EQ(HumanBytes(512), "512B");

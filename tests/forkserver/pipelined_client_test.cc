@@ -1,9 +1,9 @@
-// Protocol-v2 pipelining, end to end: many requests in flight on one
-// channel, replies arriving out of order, a parked kWait that never blocks
-// the channel, v1 and v2 clients negotiating against the same server, and a
-// multi-threaded stress mix (the TSan target for the pipelined send/receive
-// paths).
+// Pipelining, end to end: many requests in flight on one channel, replies
+// arriving out of order, a parked kWait that never blocks the channel, a
+// retired-v1 frame failing the channel cleanly, and a multi-threaded stress
+// mix (the TSan target for the pipelined send/receive paths).
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -149,41 +149,82 @@ TEST(PipelinedClientTest, RepliesCompleteOutOfSubmissionOrder) {
   EXPECT_TRUE(slow_st->Success());
 }
 
-// Per-frame version negotiation: a legacy v1 client and a pipelined v2
-// client work against the SAME server process concurrently.
-TEST(PipelinedClientTest, V1AndV2ClientsShareOneServer) {
-  std::string path = ::testing::TempDir() + "pipelined_nego_" +
-                     std::to_string(::getpid()) + ".sock";
-  auto server = ForkServer::Listen(path);
-  ASSERT_TRUE(server.ok()) << server.error().ToString();
-  std::thread server_thread([srv = std::make_shared<ForkServer>(std::move(*server))]() {
-    auto served = srv->Serve();
+// The retired v1 header ({magic, 1, type}, no request_id) for a kWait.
+std::string V1WaitFrame() {
+  std::string frame = EncodeWait(777);
+  frame.erase(12, 8);  // drop the request_id
+  frame[4] = 1;        // version word (bytes 4..7, little-endian)
+  return frame;
+}
+
+// A peer still speaking v1 gets the server's uncorrelated error reply
+// (request_id 0, the only shape it can be sent without a parseable header),
+// and a pipelined client that receives such a reply fails its pending
+// requests instead of leaving them to hang.
+TEST(PipelinedClientTest, V1FrameGetsUncorrelatedErrorAndFailsPendingRequests) {
+  {
+    auto sp = MakeSocketPair();
+    ASSERT_TRUE(sp.ok());
+    std::thread server_thread([sock = std::move(sp->second)]() mutable {
+      ForkServer server(std::move(sock));
+      auto served = server.Serve();
+      EXPECT_TRUE(served.ok()) << served.error().ToString();
+    });
+    const int raw = sp->first.get();
+    ASSERT_TRUE(SendFrame(raw, V1WaitFrame()).ok());
+    auto rr = RecvFrame(raw);
+    ASSERT_TRUE(rr.ok()) << rr.error().ToString();
+    ASSERT_FALSE(rr->eof);
+    uint64_t id = 99;
+    auto reply = DecodeSpawnReply(rr->frame.payload, &id);
+    ASSERT_TRUE(reply.ok()) << reply.error().ToString();
+    EXPECT_EQ(id, 0u);
+    EXPECT_FALSE(reply->ok);
+    EXPECT_NE(reply->context.find("unsupported version 1"), std::string::npos)
+        << reply->context;
+    // The channel keeps serving well-formed frames.
+    ASSERT_TRUE(SendFrame(raw, EncodeControl(MsgType::kShutdown, 1)).ok());
+    auto ack = RecvFrame(raw);
+    ASSERT_TRUE(ack.ok());
+    ASSERT_FALSE(ack->eof);
+    server_thread.join();
+  }
+
+  auto sp = MakeSocketPair();
+  ASSERT_TRUE(sp.ok());
+  UniqueFd raw(::dup(sp->first.get()));  // a second writer on the client's channel
+  ASSERT_TRUE(raw.valid());
+  std::thread server_thread([sock = std::move(sp->second)]() mutable {
+    ForkServer server(std::move(sock));
+    auto served = server.Serve();
     EXPECT_TRUE(served.ok()) << served.error().ToString();
   });
+  ForkServerClient client(std::move(sp->first));
+  auto hold = MakePipe();
+  ASSERT_TRUE(hold.ok());
+  Spawner s("/bin/cat");  // runs until its stdin reaches EOF
+  s.SetStdin(Stdio::Fd(hold->read_end.get()));
+  auto req = s.BuildRequest();
+  ASSERT_TRUE(req.ok());
+  auto pid = client.LaunchRequest(*req);
+  ASSERT_TRUE(pid.ok()) << pid.error().ToString();
+  hold->read_end.Reset();
+  auto wait = client.WaitAsync(*pid);  // parks server-side: the child is alive
+  ASSERT_TRUE(wait.ok());
 
-  {
-    auto legacy = LegacyForkServerClient::ConnectPath(path);
-    ASSERT_TRUE(legacy.ok()) << legacy.error().ToString();
-    auto v2 = ForkServerClient::ConnectPath(path);
-    ASSERT_TRUE(v2.ok()) << v2.error().ToString();
+  ASSERT_TRUE(SendFrame(raw.get(), V1WaitFrame()).ok());
+  auto st = wait->AwaitExit();
+  EXPECT_FALSE(st.ok()) << "the parked wait must fail, not hang";
+  EXPECT_TRUE(client.dead());
+  EXPECT_EQ(client.outstanding(), 0u);
+  EXPECT_FALSE(client.Ping().ok());
 
-    EXPECT_TRUE((*legacy)->Ping().ok());
-    EXPECT_TRUE((*v2)->Ping().ok());
-
-    // A v1 channel cannot park a wait, so the timed poll is unsupported.
-    EXPECT_FALSE((*legacy)->WaitRemoteFor(1, 0).ok());
-
-    Spawner s("/bin/true");
-    auto legacy_child = (*legacy)->Spawn(s);
-    ASSERT_TRUE(legacy_child.ok()) << legacy_child.error().ToString();
-    auto v2_child = (*v2)->Spawn(s);
-    ASSERT_TRUE(v2_child.ok()) << v2_child.error().ToString();
-    EXPECT_TRUE(legacy_child->Wait().value().Success());
-    EXPECT_TRUE(v2_child->Wait().value().Success());
-
-    ASSERT_TRUE((*v2)->Shutdown().ok());
-  }
+  hold->write_end.Reset();
+  ASSERT_TRUE(SendFrame(raw.get(), EncodeControl(MsgType::kShutdown, 1)).ok());
   server_thread.join();
+  // The in-process server's children are this process's; reap the cat if
+  // the server's exit watch did not get to it first.
+  (void)::waitpid(*pid, nullptr, 0);
 }
 
 // The TSan target: several threads pipeline spawns, waits, and pings through
@@ -292,60 +333,6 @@ TEST(PipelinedClientTest, FdFramesInterleavedWithAsyncSpawnsDoNotStrand) {
   EXPECT_EQ(srv.client().outstanding(), 0u);
 }
 
-// The timed poll: a zero-timeout WaitRemoteFor on a live child reports
-// "still running" and leaves the wait parked; a later poll on the SAME
-// parked wait collects the real status (the server answers each wait exactly
-// once, so the handle must persist between polls).
-TEST(PipelinedClientTest, WaitRemoteForPollsWithoutConsumingTheWait) {
-  InProcessServer srv;
-  auto hold = MakePipe();
-  ASSERT_TRUE(hold.ok());
-
-  Spawner s("/bin/cat");  // runs until its stdin reaches EOF
-  s.SetStdin(Stdio::Fd(hold->read_end.get()));
-  auto req = s.BuildRequest();
-  ASSERT_TRUE(req.ok());
-  auto pid = srv.client().LaunchRequest(*req);
-  ASSERT_TRUE(pid.ok()) << pid.error().ToString();
-  hold->read_end.Reset();
-
-  auto poll = srv.client().WaitRemoteFor(*pid, 0);
-  ASSERT_TRUE(poll.ok()) << poll.error().ToString();
-  EXPECT_FALSE(poll->has_value());
-
-  hold->write_end.Reset();
-  auto done = srv.client().WaitRemoteFor(*pid, 5.0);
-  ASSERT_TRUE(done.ok()) << done.error().ToString();
-  ASSERT_TRUE(done->has_value());
-  EXPECT_TRUE((*done)->Success());
-}
-
-// Mixing the poll with the blocking wait: WaitRemote must adopt a wait
-// already parked by WaitRemoteFor instead of submitting a second kWait that
-// would race it for the child's one exit answer.
-TEST(PipelinedClientTest, WaitRemoteAdoptsAParkedPoll) {
-  InProcessServer srv;
-  auto hold = MakePipe();
-  ASSERT_TRUE(hold.ok());
-
-  Spawner s("/bin/cat");
-  s.SetStdin(Stdio::Fd(hold->read_end.get()));
-  auto req = s.BuildRequest();
-  ASSERT_TRUE(req.ok());
-  auto pid = srv.client().LaunchRequest(*req);
-  ASSERT_TRUE(pid.ok()) << pid.error().ToString();
-  hold->read_end.Reset();
-
-  auto poll = srv.client().WaitRemoteFor(*pid, 0);
-  ASSERT_TRUE(poll.ok()) << poll.error().ToString();
-  EXPECT_FALSE(poll->has_value());
-
-  hold->write_end.Reset();
-  auto st = srv.client().WaitRemote(*pid);
-  ASSERT_TRUE(st.ok()) << st.error().ToString();
-  EXPECT_TRUE(st->Success());
-}
-
 // Dropping a PendingReply without awaiting it must not leak its slot or
 // confuse the receiver when the reply later arrives.
 TEST(PipelinedClientTest, AbandonedPendingReplyIsHarmless) {
@@ -359,122 +346,6 @@ TEST(PipelinedClientTest, AbandonedPendingReplyIsHarmless) {
     EXPECT_TRUE(srv.client().Ping().ok());
   }
   EXPECT_EQ(srv.client().outstanding(), 0u);
-}
-
-// --- kSpawnBatch: a burst of spawns in one frame, one reply per entry ---
-
-TEST(SpawnBatchTest, BatchOfTrivialSpawnsAllComplete) {
-  InProcessServer srv;
-  std::vector<SpawnRequest> reqs(16, TrueRequest());
-  auto batch = srv.client().LaunchBatchAsync(reqs);
-  ASSERT_TRUE(batch.ok()) << batch.error().ToString();
-  ASSERT_EQ(batch->size(), reqs.size());
-  EXPECT_EQ(srv.client().outstanding(), reqs.size());
-  for (auto& pending : *batch) {
-    auto pid = pending.AwaitPid();
-    ASSERT_TRUE(pid.ok()) << pid.error().ToString();
-    auto st = srv.client().WaitRemote(*pid);
-    ASSERT_TRUE(st.ok()) << st.error().ToString();
-    EXPECT_TRUE(st->Success());
-  }
-  EXPECT_EQ(srv.client().outstanding(), 0u);
-}
-
-TEST(SpawnBatchTest, SynchronousLaunchBatchReturnsPerEntryResults) {
-  InProcessServer srv;
-  // A bad entry mid-batch fails ONLY its own slot; the frame still launches
-  // the others (the server decodes all-or-nothing, but a well-formed request
-  // for a missing program fails at exec, per entry).
-  std::vector<SpawnRequest> reqs(4, TrueRequest());
-  auto missing = Spawner("/definitely/not/a/program").BuildRequest();
-  ASSERT_TRUE(missing.ok());
-  reqs.insert(reqs.begin() + 2, std::move(*missing));
-
-  auto results = srv.client().LaunchBatch(reqs);
-  ASSERT_EQ(results.size(), 5u);
-  for (size_t i = 0; i < results.size(); ++i) {
-    if (i == 2) {
-      EXPECT_FALSE(results[i].ok()) << "missing program must fail its own slot";
-      continue;
-    }
-    ASSERT_TRUE(results[i].ok()) << results[i].error().ToString();
-    auto st = srv.client().WaitRemote(results[i].value());
-    ASSERT_TRUE(st.ok());
-    EXPECT_TRUE(st->Success());
-  }
-  EXPECT_TRUE(srv.client().Ping().ok()) << "channel must survive a mixed batch";
-}
-
-TEST(SpawnBatchTest, BatchCarriesDescriptorsPerEntry) {
-  // Each entry writes a distinct string to its own pipe via a transferred
-  // descriptor: the batch frame's fds ride one sendmsg and each entry must
-  // resolve its OWN slice of the arrival list.
-  InProcessServer srv;
-  constexpr int kN = 4;
-  std::vector<Pipe> pipes;
-  std::vector<SpawnRequest> reqs;
-  for (int i = 0; i < kN; ++i) {
-    auto p = MakePipe();
-    ASSERT_TRUE(p.ok());
-    Spawner s("/bin/echo");
-    s.Arg("entry" + std::to_string(i)).SetStdout(Stdio::Fd(p->write_end.get()));
-    auto req = s.BuildRequest();
-    ASSERT_TRUE(req.ok());
-    reqs.push_back(std::move(*req));
-    pipes.push_back(std::move(*p));
-  }
-  auto results = srv.client().LaunchBatch(reqs);
-  ASSERT_EQ(results.size(), static_cast<size_t>(kN));
-  for (int i = 0; i < kN; ++i) {
-    ASSERT_TRUE(results[i].ok()) << results[i].error().ToString();
-    auto st = srv.client().WaitRemote(results[i].value());
-    ASSERT_TRUE(st.ok());
-    EXPECT_TRUE(st->Success());
-    pipes[i].write_end.Reset();
-    auto out = ReadAll(pipes[i].read_end.get());
-    ASSERT_TRUE(out.ok());
-    EXPECT_EQ(*out, "entry" + std::to_string(i) + "\n");
-  }
-}
-
-TEST(SpawnBatchTest, OverweightBatchDegradesToSingles) {
-  // A burst whose combined fd transfers exceed the per-frame ancillary cap
-  // cannot ride one frame; LaunchBatch must fall back to per-entry requests
-  // (and the failed encode must not poison the channel or leak slots).
-  InProcessServer srv;
-  constexpr size_t kN = kMaxFdsPerFrame + 2;
-  std::vector<Pipe> pipes;
-  std::vector<SpawnRequest> reqs;
-  for (size_t i = 0; i < kN; ++i) {
-    auto p = MakePipe();
-    ASSERT_TRUE(p.ok());
-    Spawner s("/bin/true");
-    s.SetStdout(Stdio::Fd(p->write_end.get()));
-    auto req = s.BuildRequest();
-    ASSERT_TRUE(req.ok());
-    reqs.push_back(std::move(*req));
-    pipes.push_back(std::move(*p));
-  }
-  auto results = srv.client().LaunchBatch(reqs);
-  ASSERT_EQ(results.size(), kN);
-  for (auto& r : results) {
-    ASSERT_TRUE(r.ok()) << r.error().ToString();
-    auto st = srv.client().WaitRemote(r.value());
-    ASSERT_TRUE(st.ok());
-    EXPECT_TRUE(st->Success());
-  }
-  EXPECT_EQ(srv.client().outstanding(), 0u);
-  EXPECT_TRUE(srv.client().Ping().ok());
-}
-
-TEST(SpawnBatchTest, EmptyAndOversizedBatchRejectedClientSide) {
-  InProcessServer srv;
-  auto empty = srv.client().LaunchBatchAsync({});
-  ASSERT_TRUE(empty.ok());
-  EXPECT_TRUE(empty->empty());
-  std::vector<SpawnRequest> huge(kMaxSpawnBatch + 1, TrueRequest());
-  EXPECT_FALSE(srv.client().LaunchBatchAsync(huge).ok());
-  EXPECT_TRUE(srv.client().Ping().ok());
 }
 
 }  // namespace

@@ -172,16 +172,14 @@ TEST(ProtocolRobustnessTest, EveryMessageTypeRoundTrips) {
     auto hdr = DecodeHeader(reader);
     ASSERT_TRUE(hdr.ok());
     EXPECT_EQ(hdr->type, t);
-    EXPECT_EQ(hdr->meta.version, kForkServerProtocolV1);
-    EXPECT_EQ(hdr->meta.request_id, 0u);
+    EXPECT_EQ(hdr->request_id, 0u);
     EXPECT_TRUE(reader.AtEnd());
   }
 }
 
 // --- truncation at every byte offset, for every message type ---
 
-void ExpectAllTruncationsRejected(const std::string& payload, const char* what,
-                                  size_t header_size = 12) {
+void ExpectAllTruncationsRejected(const std::string& payload, const char* what) {
   std::vector<UniqueFd> no_fds;
   for (size_t len = 0; len < payload.size(); ++len) {
     std::string cut = payload.substr(0, len);
@@ -191,7 +189,7 @@ void ExpectAllTruncationsRejected(const std::string& payload, const char* what,
     EXPECT_FALSE(DecodeWaitReply(cut).ok()) << what << " cut at " << len;
     WireReader reader(cut);
     auto hdr = DecodeHeader(reader);
-    if (len >= header_size) {
+    if (len >= kFrameHeaderSize) {
       // Full header survives a payload truncation; the typed decode above
       // already proved the body is rejected.
       continue;
@@ -208,27 +206,27 @@ TEST(ProtocolRobustnessTest, TruncationAtEveryOffsetRejected) {
   ExpectAllTruncationsRejected(EncodeControl(MsgType::kPing), "ping");
 }
 
-TEST(ProtocolRobustnessTest, TruncationAtEveryOffsetRejectedV2) {
-  // The v2 header is 20 bytes (12-byte v1 header + u64 request_id); any cut
-  // inside the request_id must reject the header, not read past the end.
-  const FrameMeta meta{kForkServerProtocolV2, 0x0123456789abcdefull};
-  ExpectAllTruncationsRejected(EncodeWait(777, meta), "wait v2", 20);
-  ExpectAllTruncationsRejected(EncodeControl(MsgType::kPing, meta), "ping v2", 20);
+TEST(ProtocolRobustnessTest, TruncationAtEveryOffsetRejectedWithRequestId) {
+  // The header ends in a u64 request_id; any cut inside it must reject the
+  // header, not read past the end.
+  const uint64_t id = 0x0123456789abcdefull;
+  ExpectAllTruncationsRejected(EncodeWait(777, id), "wait with id");
+  ExpectAllTruncationsRejected(EncodeControl(MsgType::kPing, id), "ping with id");
   SpawnReply reply;
   reply.ok = false;
   reply.err = ENOENT;
   reply.context = "child execve";
-  ExpectAllTruncationsRejected(EncodeSpawnReply(reply, meta), "spawn reply v2", 20);
+  ExpectAllTruncationsRejected(EncodeSpawnReply(reply, id), "spawn reply with id");
 }
 
-// --- single-bit corruption of the 12-byte header (magic, version, type) ---
+// --- single-bit corruption of the header's magic, version and type words ---
 
 TEST(ProtocolRobustnessTest, HeaderBitFlipsNeverCrashTypedDecoders) {
   const std::string payloads[] = {SampleSpawnPayload(), SampleSpawnReply(),
                                   EncodeWait(777), SampleWaitReply()};
   std::vector<UniqueFd> no_fds;
   for (const std::string& base : payloads) {
-    ASSERT_GE(base.size(), 12u);
+    ASSERT_GE(base.size(), kFrameHeaderSize);
     for (size_t bit = 0; bit < 12 * 8; ++bit) {
       std::string mutated = base;
       mutated[bit / 8] ^= static_cast<char>(1u << (bit % 8));
@@ -245,7 +243,8 @@ TEST(ProtocolRobustnessTest, HeaderBitFlipsNeverCrashTypedDecoders) {
 TEST(ProtocolRobustnessTest, HeaderBitFlipsOnControlFramesAreSafe) {
   for (MsgType t : {MsgType::kPing, MsgType::kShutdown}) {
     const std::string base = EncodeControl(t);
-    for (size_t bit = 0; bit < base.size() * 8; ++bit) {
+    // Magic, version and type; request_id flips have their own test below.
+    for (size_t bit = 0; bit < 12 * 8; ++bit) {
       std::string mutated = base;
       mutated[bit / 8] ^= static_cast<char>(1u << (bit % 8));
       WireReader reader(mutated);
@@ -261,75 +260,80 @@ TEST(ProtocolRobustnessTest, HeaderBitFlipsOnControlFramesAreSafe) {
   }
 }
 
-// --- protocol v2: request-id correlation and version negotiation ---
+// --- request-id correlation and the single protocol version ---
 
-TEST(ProtocolRobustnessTest, V2FramesRoundTripRequestId) {
-  const FrameMeta meta{kForkServerProtocolV2, 0xdeadbeef12345678ull};
+TEST(ProtocolRobustnessTest, FramesRoundTripRequestId) {
+  const uint64_t id = 0xdeadbeef12345678ull;
   {
-    FrameMeta got;
-    auto pid = DecodeWait(EncodeWait(777, meta), &got);
+    uint64_t got = 0;
+    auto pid = DecodeWait(EncodeWait(777, id), &got);
     ASSERT_TRUE(pid.ok());
     EXPECT_EQ(*pid, 777);
-    EXPECT_EQ(got.version, kForkServerProtocolV2);
-    EXPECT_EQ(got.request_id, meta.request_id);
+    EXPECT_EQ(got, id);
   }
   {
     SpawnReply in;
     in.ok = true;
     in.pid = 4242;
-    FrameMeta got;
-    auto out = DecodeSpawnReply(EncodeSpawnReply(in, meta), &got);
+    uint64_t got = 0;
+    auto out = DecodeSpawnReply(EncodeSpawnReply(in, id), &got);
     ASSERT_TRUE(out.ok());
     EXPECT_EQ(out->pid, 4242);
-    EXPECT_EQ(got.request_id, meta.request_id);
+    EXPECT_EQ(got, id);
   }
   {
     WaitReply in;
     in.ok = true;
     in.status.exited = true;
     in.status.exit_code = 9;
-    FrameMeta got;
-    auto out = DecodeWaitReply(EncodeWaitReply(in, meta), &got);
+    uint64_t got = 0;
+    auto out = DecodeWaitReply(EncodeWaitReply(in, id), &got);
     ASSERT_TRUE(out.ok());
     EXPECT_EQ(out->status.exit_code, 9);
-    EXPECT_EQ(got.request_id, meta.request_id);
+    EXPECT_EQ(got, id);
   }
   {
     std::vector<int> fds;
-    auto payload = EncodeSpawnRequest(MakeSampleRequest(), &fds, meta);
+    auto payload = EncodeSpawnRequest(MakeSampleRequest(), &fds, id);
     ASSERT_TRUE(payload.ok());
     std::vector<UniqueFd> received;
     for (int fd : fds) {
       received.emplace_back(::dup(fd));
     }
-    FrameMeta got;
+    uint64_t got = 0;
     auto decoded = DecodeSpawnRequest(*payload, received, &got);
     ASSERT_TRUE(decoded.ok()) << decoded.error().ToString();
-    EXPECT_EQ(got.version, kForkServerProtocolV2);
-    EXPECT_EQ(got.request_id, meta.request_id);
+    EXPECT_EQ(got, id);
   }
   {
-    std::string payload = EncodeControl(MsgType::kPing, meta);
+    std::string payload = EncodeControl(MsgType::kPing, id);
     WireReader reader(payload);
     auto hdr = DecodeHeader(reader);
     ASSERT_TRUE(hdr.ok());
     EXPECT_EQ(hdr->type, MsgType::kPing);
-    EXPECT_EQ(hdr->meta.request_id, meta.request_id);
+    EXPECT_EQ(hdr->request_id, id);
     EXPECT_TRUE(reader.AtEnd());
   }
 }
 
-TEST(ProtocolRobustnessTest, V1FramesDecodeAsVersion1WithRequestIdZero) {
-  // Negotiation is per-frame: a v1 peer's frames must keep decoding exactly
-  // as before, and the meta out-param must be reset, not left stale.
-  FrameMeta got;
-  got.version = kForkServerProtocolV2;
-  got.request_id = 99;
-  auto pid = DecodeWait(EncodeWait(777), &got);
-  ASSERT_TRUE(pid.ok());
-  EXPECT_EQ(*pid, 777);
-  EXPECT_EQ(got.version, kForkServerProtocolV1);
-  EXPECT_EQ(got.request_id, 0u);
+TEST(ProtocolRobustnessTest, Version1HeaderRejected) {
+  // The retired v1 header: {magic, version 1, type} with no request_id. A
+  // peer still speaking it must get a clean error, never a decode that
+  // reads its payload as a request_id.
+  std::string v1 = EncodeWait(777);
+  v1.erase(12, 8);  // drop the request_id
+  v1[4] = 1;        // version word (bytes 4..7, little-endian)
+  WireReader reader(v1);
+  auto hdr = DecodeHeader(reader);
+  ASSERT_FALSE(hdr.ok());
+  EXPECT_EQ(hdr.error().code(), 0) << "must be a LogicalError, not errno";
+  EXPECT_NE(hdr.error().ToString().find("unsupported version 1"), std::string::npos)
+      << hdr.error().ToString();
+  EXPECT_FALSE(DecodeWait(v1).ok());
+  // Version 1 with a full-size header is rejected just the same.
+  std::string padded = EncodeWait(777, 5);
+  padded[4] = 1;
+  EXPECT_FALSE(DecodeWait(padded).ok());
 }
 
 TEST(ProtocolRobustnessTest, UnknownVersionRejected) {
@@ -341,67 +345,52 @@ TEST(ProtocolRobustnessTest, UnknownVersionRejected) {
   EXPECT_FALSE(DecodeHeader(reader).ok());
 }
 
-TEST(ProtocolRobustnessTest, V2HeaderBitFlipsNeverCrashTypedDecoders) {
-  // Same property as the v1 test, over a v2 frame's magic/version/type bytes.
-  // Version 2 and 1 differ in two bits, so no single flip can downgrade a
-  // frame to the other version; a flip always breaks the typed decode.
-  const FrameMeta meta{kForkServerProtocolV2, 7};
-  const std::string base = EncodeWait(777, meta);
-  ASSERT_GE(base.size(), 20u);
-  for (size_t bit = 0; bit < 12 * 8; ++bit) {
-    std::string mutated = base;
-    mutated[bit / 8] ^= static_cast<char>(1u << (bit % 8));
-    EXPECT_FALSE(DecodeWait(mutated).ok()) << "bit " << bit;
-  }
-}
-
 TEST(ProtocolRobustnessTest, RequestIdBitFlipsDecodeWithDifferentId) {
   // Flips inside the request_id (bytes 12..19) leave a well-formed frame; the
   // body must still decode and the corrupted id must differ from the original
   // (so the client drops, not mis-correlates, the reply).
-  const FrameMeta meta{kForkServerProtocolV2, 0x0123456789abcdefull};
-  const std::string base = EncodeWait(777, meta);
-  ASSERT_GE(base.size(), 20u);
-  for (size_t bit = 12 * 8; bit < 20 * 8; ++bit) {
+  const uint64_t id = 0x0123456789abcdefull;
+  const std::string base = EncodeWait(777, id);
+  ASSERT_GE(base.size(), kFrameHeaderSize);
+  for (size_t bit = 12 * 8; bit < kFrameHeaderSize * 8; ++bit) {
     std::string mutated = base;
     mutated[bit / 8] ^= static_cast<char>(1u << (bit % 8));
-    FrameMeta got;
+    uint64_t got = 0;
     auto pid = DecodeWait(mutated, &got);
     ASSERT_TRUE(pid.ok()) << "bit " << bit;
     EXPECT_EQ(*pid, 777);
-    EXPECT_NE(got.request_id, meta.request_id) << "bit " << bit;
+    EXPECT_NE(got, id) << "bit " << bit;
   }
 }
 
 // --- kStats / kStatsReply: same corpus treatment as the spawn frames ---
 
 TEST(ProtocolRobustnessTest, StatsMessagesRoundTrip) {
-  const FrameMeta meta{kForkServerProtocolV2, 0xfeedface12345678ull};
+  const uint64_t id = 0xfeedface12345678ull;
   {
-    FrameMeta got;
-    auto format = DecodeStatsRequest(EncodeStatsRequest(1, meta), &got);
+    uint64_t got = 0;
+    auto format = DecodeStatsRequest(EncodeStatsRequest(1, id), &got);
     ASSERT_TRUE(format.ok()) << format.error().ToString();
     EXPECT_EQ(*format, 1u);
-    EXPECT_EQ(got.version, kForkServerProtocolV2);
-    EXPECT_EQ(got.request_id, meta.request_id);
+    EXPECT_EQ(got, id);
   }
   {
     StatsReply in;
     in.ok = true;
     in.body = "# TYPE forklift_spawns_total counter\nforklift_spawns_total 3\n";
-    FrameMeta got;
-    auto out = DecodeStatsReply(EncodeStatsReply(in, meta), &got);
+    uint64_t got = 0;
+    auto out = DecodeStatsReply(EncodeStatsReply(in, id), &got);
     ASSERT_TRUE(out.ok()) << out.error().ToString();
     EXPECT_TRUE(out->ok);
     EXPECT_EQ(out->body, in.body);
-    EXPECT_EQ(got.request_id, meta.request_id);
+    EXPECT_EQ(got, id);
   }
   {
     StatsReply in;
     in.ok = false;
     in.err = EIO;
     in.context = "obs.export_write";
-    auto out = DecodeStatsReply(EncodeStatsReply(in, meta));
+    auto out = DecodeStatsReply(EncodeStatsReply(in, id));
     ASSERT_TRUE(out.ok());
     EXPECT_FALSE(out->ok);
     EXPECT_EQ(out->err, EIO);
@@ -427,16 +416,16 @@ TEST(ProtocolRobustnessTest, StatsRejectsTrailingBytes) {
 }
 
 TEST(ProtocolRobustnessTest, StatsTruncationAtEveryOffsetRejected) {
-  const FrameMeta meta{kForkServerProtocolV2, 42};
+  const uint64_t id = 42;
   ExpectAllTruncationsRejected(EncodeStatsRequest(1), "stats request");
-  ExpectAllTruncationsRejected(EncodeStatsRequest(1, meta), "stats request v2", 20);
+  ExpectAllTruncationsRejected(EncodeStatsRequest(1, id), "stats request with id");
   StatsReply sample;
   sample.ok = true;
   sample.body = "forklift_spawns_total 3\n";
   ExpectAllTruncationsRejected(EncodeStatsReply(sample), "stats reply");
-  ExpectAllTruncationsRejected(EncodeStatsReply(sample, meta), "stats reply v2", 20);
+  ExpectAllTruncationsRejected(EncodeStatsReply(sample, id), "stats reply with id");
   // The typed stats decoders must also reject every cut of their own frames.
-  for (const std::string& base : {EncodeStatsRequest(1, meta), EncodeStatsReply(sample, meta)}) {
+  for (const std::string& base : {EncodeStatsRequest(1, id), EncodeStatsReply(sample, id)}) {
     for (size_t len = 0; len < base.size(); ++len) {
       std::string cut = base.substr(0, len);
       EXPECT_FALSE(DecodeStatsRequest(cut).ok()) << "stats cut at " << len;
@@ -446,12 +435,12 @@ TEST(ProtocolRobustnessTest, StatsTruncationAtEveryOffsetRejected) {
 }
 
 TEST(ProtocolRobustnessTest, StatsHeaderBitFlipsNeverCrashTypedDecoders) {
-  const FrameMeta meta{kForkServerProtocolV2, 7};
+  const uint64_t id = 7;
   StatsReply sample;
   sample.ok = true;
   sample.body = "x 1\n";
-  for (const std::string& base : {EncodeStatsRequest(0, meta), EncodeStatsReply(sample, meta)}) {
-    ASSERT_GE(base.size(), 20u);
+  for (const std::string& base : {EncodeStatsRequest(0, id), EncodeStatsReply(sample, id)}) {
+    ASSERT_GE(base.size(), kFrameHeaderSize);
     for (size_t bit = 0; bit < 12 * 8; ++bit) {
       std::string mutated = base;
       mutated[bit / 8] ^= static_cast<char>(1u << (bit % 8));

@@ -147,106 +147,6 @@ TEST(ProtocolTest, BadVersionRejected) {
   EXPECT_FALSE(DecodeWait(payload).ok());
 }
 
-TEST(ProtocolTest, SpawnBatchRoundTrip) {
-  std::vector<SpawnRequest> reqs;
-  reqs.push_back(MakeSampleRequest());  // carries 2 fd transfers
-  {
-    Spawner s("/bin/true");
-    auto r = s.BuildRequest();
-    ASSERT_TRUE(r.ok());
-    reqs.push_back(std::move(r).value());
-  }
-  reqs.push_back(MakeSampleRequest());  // 2 more transfers, indices local to the entry
-
-  WireWriter w;
-  std::vector<int> fds;
-  FrameMeta meta{kForkServerProtocolV2, 1000};
-  ASSERT_TRUE(EncodeSpawnBatchInto(w, reqs, &fds, meta).ok());
-  EXPECT_EQ(fds.size(), 4u);  // entry 0 and entry 2 ship two descriptors each
-
-  FrameMeta peeked;
-  auto count = PeekSpawnBatchCount(w.data(), &peeked);
-  ASSERT_TRUE(count.ok()) << count.error().ToString();
-  EXPECT_EQ(*count, 3u);
-  EXPECT_EQ(peeked.version, kForkServerProtocolV2);
-  EXPECT_EQ(peeked.request_id, 1000u);
-
-  std::vector<UniqueFd> received;
-  for (int fd : fds) {
-    received.emplace_back(::dup(fd));
-  }
-  FrameMeta decoded_meta;
-  auto decoded = DecodeSpawnBatch(w.data(), received, &decoded_meta);
-  ASSERT_TRUE(decoded.ok()) << decoded.error().ToString();
-  ASSERT_EQ(decoded->size(), 3u);
-  EXPECT_EQ(decoded_meta.request_id, 1000u);
-  EXPECT_EQ((*decoded)[0].program, "/bin/echo");
-  EXPECT_EQ((*decoded)[1].program, "/bin/true");
-  EXPECT_EQ((*decoded)[2].program, "/bin/echo");
-  // Entry-local fd resolution: each entry's dup2-family sources must point at
-  // that entry's slice of the arrival list (entry 0 → received[0..1], entry 2
-  // → received[2..3]) or at the scratch range — never at another entry's
-  // descriptors, never at a raw client fd number.
-  const std::vector<std::pair<size_t, size_t>> slices = {{0, 2}, {2, 4}};
-  const std::vector<size_t> entries = {0, 2};
-  for (size_t which = 0; which < entries.size(); ++which) {
-    auto [lo, hi] = slices[which];
-    for (const auto& op : (*decoded)[entries[which]].fd_plan.ops) {
-      if (op.kind != CompiledFdOp::Kind::kDup2 && op.kind != CompiledFdOp::Kind::kDupToScratch) {
-        continue;
-      }
-      if (op.src_fd >= CompiledFdPlan::kScratchBase) {
-        continue;
-      }
-      bool in_slice = false;
-      for (size_t i = lo; i < hi; ++i) {
-        in_slice |= op.src_fd == received[i].get();
-      }
-      EXPECT_TRUE(in_slice) << "entry " << entries[which] << " source " << op.src_fd
-                            << " resolved outside its own fd slice";
-    }
-  }
-}
-
-TEST(ProtocolTest, SpawnBatchRequiresV2AndRequestId) {
-  std::vector<SpawnRequest> reqs;
-  Spawner s("/bin/true");
-  auto r = s.BuildRequest();
-  ASSERT_TRUE(r.ok());
-  reqs.push_back(std::move(r).value());
-
-  WireWriter w1;
-  std::vector<int> fds;
-  EXPECT_FALSE(EncodeSpawnBatchInto(w1, reqs, &fds, FrameMeta{kForkServerProtocolV1, 5}).ok());
-  WireWriter w2;
-  EXPECT_FALSE(EncodeSpawnBatchInto(w2, reqs, &fds, FrameMeta{kForkServerProtocolV2, 0}).ok());
-}
-
-TEST(ProtocolTest, SpawnBatchSizeBoundsEnforced) {
-  WireWriter w;
-  std::vector<int> fds;
-  std::vector<SpawnRequest> empty;
-  EXPECT_FALSE(EncodeSpawnBatchInto(w, empty, &fds, FrameMeta{kForkServerProtocolV2, 5}).ok());
-
-  Spawner s("/bin/true");
-  auto r = s.BuildRequest();
-  ASSERT_TRUE(r.ok());
-  std::vector<SpawnRequest> too_many(kMaxSpawnBatch + 1, *r);
-  WireWriter w2;
-  EXPECT_FALSE(EncodeSpawnBatchInto(w2, too_many, &fds, FrameMeta{kForkServerProtocolV2, 5}).ok());
-}
-
-TEST(ProtocolTest, SpawnBatchFdCountMismatchRejected) {
-  std::vector<SpawnRequest> reqs;
-  reqs.push_back(MakeSampleRequest());
-  WireWriter w;
-  std::vector<int> fds;
-  ASSERT_TRUE(EncodeSpawnBatchInto(w, reqs, &fds, FrameMeta{kForkServerProtocolV2, 9}).ok());
-  ASSERT_EQ(fds.size(), 2u);
-  // The frame promises two descriptors; none arrived.
-  EXPECT_FALSE(DecodeSpawnBatch(w.data(), {}).ok());
-}
-
 // Failure-injection corpus: truncations and random bit flips of a valid spawn
 // payload must decode to an error or to a *well-formed* request — never crash,
 // never read out of bounds (ASAN-visible if they did).
@@ -288,60 +188,6 @@ TEST_P(ProtocolCorruptionTest, CorruptedSpawnPayloadIsSafe) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Corpus, ProtocolCorruptionTest, ::testing::Range<uint64_t>(0, 100));
-
-// The same corpus over kSpawnBatch frames: the batch layout adds a count and
-// per-entry length prefixes, so corruption must fail the WHOLE frame (the
-// all-or-nothing decode contract) or parse into well-formed entries — and
-// PeekSpawnBatchCount must never report a count the allocator can't survive.
-class BatchCorruptionTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(BatchCorruptionTest, CorruptedBatchPayloadIsSafe) {
-  std::vector<SpawnRequest> reqs;
-  reqs.push_back(MakeSampleRequest());
-  {
-    Spawner s("/bin/true");
-    auto r = s.BuildRequest();
-    ASSERT_TRUE(r.ok());
-    reqs.push_back(std::move(r).value());
-  }
-  WireWriter w;
-  std::vector<int> fds;
-  ASSERT_TRUE(EncodeSpawnBatchInto(w, reqs, &fds, FrameMeta{kForkServerProtocolV2, 77}).ok());
-  std::vector<UniqueFd> received;
-  for (int fd : fds) {
-    received.emplace_back(::dup(fd));
-  }
-
-  Rng rng(GetParam());
-  std::string mutated = w.data();
-  if (rng.Chance(0.5)) {
-    mutated.resize(rng.Below(mutated.size()));
-  } else {
-    size_t flips = 1 + rng.Below(8);
-    for (size_t i = 0; i < flips && !mutated.empty(); ++i) {
-      mutated[rng.Below(mutated.size())] ^= static_cast<char>(1 + rng.Below(255));
-    }
-  }
-
-  auto peek = PeekSpawnBatchCount(mutated);
-  if (peek.ok()) {
-    EXPECT_LE(*peek, kMaxSpawnBatch);
-  }
-  auto decoded = DecodeSpawnBatch(mutated, received);
-  if (decoded.ok()) {
-    EXPECT_LE(decoded->size(), static_cast<size_t>(kMaxSpawnBatch));
-    for (const auto& req : *decoded) {
-      for (const auto& op : req.fd_plan.ops) {
-        if (op.kind == CompiledFdOp::Kind::kDup2) {
-          EXPECT_GE(op.dst_fd, 0);
-          EXPECT_LT(op.dst_fd, CompiledFdPlan::kScratchBase);
-        }
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Corpus, BatchCorruptionTest, ::testing::Range<uint64_t>(0, 100));
 
 }  // namespace
 }  // namespace forklift

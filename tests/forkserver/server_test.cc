@@ -159,30 +159,6 @@ TEST(ForkServerTest, ManySequentialSpawns) {
   }
 }
 
-TEST(ForkServerTest, BackendAdapterRoutesThroughServer) {
-  InProcessServer srv;
-  ForkServerBackend backend(&srv.client());
-  auto pipe = MakePipe();
-  ASSERT_TRUE(pipe.ok());
-  auto child = Spawner("/bin/echo")
-                   .Arg("adapted")
-                   .SetStdout(Stdio::Fd(pipe->write_end.get()))
-                   .SetCustomBackend(&backend)
-                   .Spawn();
-  ASSERT_TRUE(child.ok()) << child.error().ToString();
-  pipe->write_end.Reset();
-  auto data = ReadAll(pipe->read_end.get());
-  ASSERT_TRUE(data.ok());
-  EXPECT_EQ(*data, "adapted\n");
-  // The adapter's pid is not our child; reap via the protocol.
-  auto st = srv.client().WaitRemote(child->pid());
-  ASSERT_TRUE(st.ok());
-  // Suppress the "dropped without Wait" warning path: mark as handled by
-  // moving out of scope naturally (RemoteChild owns nothing).
-  auto ignored = child->TryWait();  // ECHILD-tolerant: not our child
-  (void)ignored;
-}
-
 TEST(ForkServerTest, NewChannelServesIndependently) {
   InProcessServer srv;
   auto channel = srv.client().NewChannel();
@@ -340,36 +316,6 @@ TEST(WorkerPoolTest, UnstartedPoolRejectsWork) {
 TEST(WorkerPoolTest, ZeroWorkersRejected) {
   ShellWorkerPool pool;
   EXPECT_FALSE(pool.Start({.workers = 0}).ok());
-}
-
-TEST(WorkerPoolTest, RemoteBatchStartServesTasks) {
-  // Workers launched on the zygote in ONE kSpawnBatch submit: the pool makes
-  // the stdio pipes locally and the child ends ride the batch frame's
-  // SCM_RIGHTS payload. The warm workers must then behave exactly like
-  // locally-spawned ones.
-  InProcessServer srv;
-  ShellWorkerPool pool;
-  ShellWorkerPool::Options opts;
-  opts.workers = 3;
-  opts.remote = &srv.client();
-  ASSERT_TRUE(pool.Start(opts).ok());
-  EXPECT_EQ(pool.worker_count(), 3u);
-
-  // Distinct shells (round-robin lands on three different pids)...
-  std::set<std::string> pids;
-  for (int i = 0; i < 3; ++i) {
-    auto r = pool.Execute("echo $$");
-    ASSERT_TRUE(r.ok()) << r.error().ToString();
-    pids.insert(r->output);
-  }
-  EXPECT_EQ(pids.size(), 3u);
-  // ...that carry output and exit codes like any warm worker.
-  auto r = pool.Execute("echo remote-warm; exit 5");
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->output, "remote-warm\n");
-  EXPECT_EQ(r->exit_code, 5);
-  // Stop must reap through the server (EOF → sh exits → remote wait).
-  ASSERT_TRUE(pool.Stop().ok());
 }
 
 }  // namespace

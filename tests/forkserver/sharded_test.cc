@@ -151,34 +151,7 @@ TEST(ShardedForkServerTest, WaitForUnknownPidIsAnError) {
   EXPECT_TRUE((*pool)->Shutdown().ok());
 }
 
-TEST(ShardedForkServerTest, LaunchBatchRoutesBurstAsAUnit) {
-  ShardedForkServer::Options opts;
-  opts.shards = 2;
-  auto pool = ShardedForkServer::Start(opts);
-  ASSERT_TRUE(pool.ok()) << pool.error().ToString();
-
-  auto req = Spawner("/bin/true").BuildRequest();
-  ASSERT_TRUE(req.ok());
-  std::vector<SpawnRequest> burst(12, *req);
-  auto results = (*pool)->LaunchBatch(burst);
-  ASSERT_EQ(results.size(), burst.size());
-  for (auto& r : results) {
-    ASSERT_TRUE(r.ok()) << r.error().ToString();
-    // Wait affinity: the pool must have registered every batch child with the
-    // shard that owns it, or this wait would error out.
-    auto st = (*pool)->WaitRemote(r.value());
-    ASSERT_TRUE(st.ok()) << st.error().ToString();
-    EXPECT_TRUE(st->Success());
-  }
-  // A second burst after the first fully drains must also route cleanly.
-  auto again = (*pool)->LaunchBatch({*req});
-  ASSERT_EQ(again.size(), 1u);
-  ASSERT_TRUE(again[0].ok()) << again[0].error().ToString();
-  EXPECT_TRUE((*pool)->WaitRemote(again[0].value())->Success());
-  EXPECT_TRUE((*pool)->Shutdown().ok());
-}
-
-TEST(ShardedForkServerTest, LaunchBatchAfterShutdownFailsEverySlot) {
+TEST(ShardedForkServerTest, LaunchAfterShutdownFails) {
   ShardedForkServer::Options opts;
   opts.shards = 1;
   auto pool = ShardedForkServer::Start(opts);
@@ -186,11 +159,8 @@ TEST(ShardedForkServerTest, LaunchBatchAfterShutdownFailsEverySlot) {
   ASSERT_TRUE((*pool)->Shutdown().ok());
   auto req = Spawner("/bin/true").BuildRequest();
   ASSERT_TRUE(req.ok());
-  auto results = (*pool)->LaunchBatch({*req, *req, *req});
-  ASSERT_EQ(results.size(), 3u);
-  for (auto& r : results) {
-    EXPECT_FALSE(r.ok());
-  }
+  EXPECT_FALSE((*pool)->LaunchAsync(*req).ok());
+  EXPECT_FALSE((*pool)->LaunchRequest(*req).ok());
 }
 
 }  // namespace

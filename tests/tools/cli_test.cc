@@ -7,6 +7,7 @@
 
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "src/spawn/command.h"
 
@@ -111,6 +112,27 @@ TEST(ForkliftRunTest, BadUsageReturns125) {
   auto r2 = RunAndCapture(kRun, {"--env"});  // missing value and no program
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(r2->status.exit_code, 125);
+
+  // Numeric flags reject anything but a complete, plain value. Each of these
+  // used to parse to 0 (or wrap) and launch anyway: `--umask abc` ran the
+  // child under umask 0, `--rlimit-nofile abc` capped it at 0 descriptors.
+  const std::vector<std::vector<std::string>> bad_values = {
+      {"--umask", "abc"},        {"--umask", ""},          {"--umask", "1000"},
+      {"--umask", "8"},          {"--umask", "022x"},      {"--umask", "-1"},
+      {"--rlimit-nofile", "abc"}, {"--rlimit-nofile", ""}, {"--rlimit-nofile", "-1"},
+      {"--rlimit-nofile", "64k"}, {"--timeout", "abc"},    {"--timeout", ""},
+      {"--timeout", "-1"},       {"--timeout", "inf"},     {"--timeout", "nan"},
+      {"--timeout", "1s"},       {"--shards", "-1"},       {"--shards", ""},
+      {"--shards", "2x"},
+  };
+  for (const auto& flag : bad_values) {
+    std::vector<std::string> args = {"--backend", "forkexec", flag[0], flag[1],
+                                     "--",        "/bin/sh",  "-c",    "umask; ulimit -n"};
+    auto r3 = RunAndCapture(kRun, args);
+    ASSERT_TRUE(r3.ok());
+    EXPECT_EQ(r3->status.exit_code, 125) << flag[0] << " '" << flag[1] << "' ran: "
+                                         << r3->stdout_data;
+  }
 }
 
 TEST(ForkliftRunTest, AuditPrintsReport) {

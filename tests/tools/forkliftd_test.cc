@@ -125,6 +125,27 @@ TEST_F(ForkliftdTest, ShutdownRemovesSocketAndExits) {
   EXPECT_FALSE(ForkServerClient::ConnectPath(socket_path_).ok());
 }
 
+// Bad --shards values exit 2 at argument parsing. The socket path is
+// unbindable on purpose: a parser that let a value through fails later with
+// exit 1 instead of starting any shard (`-1` used to wrap to ULONG_MAX
+// shards, and an empty value to "one per CPU").
+TEST(ForkliftdShardsTest, BadShardCountsExitTwo) {
+  for (const char* bad : {"-1", "", "abc", "2x", "18446744073709551616"}) {
+    auto daemon = Spawner(FORKLIFTD_BIN)
+                      .Args({"--socket", "/nonexistent-dir/forkliftd.sock", "--shards", bad})
+                      .SetStderr(Stdio::Null())
+                      .Spawn();
+    ASSERT_TRUE(daemon.ok()) << daemon.error().ToString();
+    auto st = daemon->WaitDeadline(10.0);
+    ASSERT_TRUE(st.ok()) << st.error().ToString();
+    if (!st->has_value()) {
+      (void)daemon->KillAndWait();
+      FAIL() << "forkliftd --shards '" << bad << "' did not exit";
+    }
+    EXPECT_EQ((*st)->exit_code, 2) << "--shards '" << bad << "'";
+  }
+}
+
 TEST(ForkliftdShardsTest, ShardedDaemonServesAndShutsDown) {
   std::string socket_path =
       ::testing::TempDir() + "forkliftd_shards_" + std::to_string(::getpid()) + ".sock";

@@ -42,6 +42,7 @@
 #include "src/common/pipe.h"
 #include "src/common/reactor.h"
 #include "src/common/result.h"
+#include "src/common/string_util.h"
 #include "src/common/syscall.h"
 #include "src/faultinject/faultinject.h"
 #include "src/forkserver/client.h"
@@ -272,23 +273,25 @@ Status ScenarioForkServer() {
     if (!status->Success()) {
       return LogicalError("forkserver: remote child failed: " + status->ToString());
     }
-    // A kSpawnBatch burst: one frame carrying several requests, so the
-    // batched wire path — client writev flush (syscall.writev_full), server
-    // drain (wire.recvmsg_drain), coalesced replies — is in this scenario's
-    // trace. The fd spawn above already traces wire.sendmsg_fds.
-    auto batch_req = Spawner("/bin/true").BuildRequest();
-    if (!batch_req.ok()) return Err(batch_req.error());
-    std::vector<SpawnRequest> burst(4, *batch_req);
-    auto batch = client.LaunchBatch(burst);
-    if (batch.size() != burst.size()) {
-      return LogicalError("forkserver: batch result count mismatch");
+    // A pipelined burst: four submits before the first await, so the
+    // flat-combining client flush (syscall.writev_full), the server's burst
+    // drain (wire.recvmsg_drain) and its coalesced replies are in this
+    // scenario's trace. The fd spawn above already traces wire.sendmsg_fds.
+    auto burst_req = Spawner("/bin/true").BuildRequest();
+    if (!burst_req.ok()) return Err(burst_req.error());
+    std::vector<ForkServerClient::PendingReply> burst;
+    for (int i = 0; i < 4; ++i) {
+      auto pending = client.LaunchAsync(*burst_req);
+      if (!pending.ok()) return Err(pending.error());
+      burst.push_back(std::move(*pending));
     }
-    for (auto& slot : batch) {
-      if (!slot.ok()) return Err(slot.error());
-      auto st = client.WaitRemote(*slot);
+    for (auto& pending : burst) {
+      auto pid = pending.AwaitPid();
+      if (!pid.ok()) return Err(pid.error());
+      auto st = client.WaitRemote(*pid);
       if (!st.ok()) return Err(st.error());
       if (!st->Success()) {
-        return LogicalError("forkserver: batch child failed: " + st->ToString());
+        return LogicalError("forkserver: burst child failed: " + st->ToString());
       }
     }
     // Stats round-trip: exercises the kStats frames and the server-side
@@ -761,10 +764,16 @@ int Main(int argc, char** argv) {
     } else if (const char* glob = value("--site=")) {
       opt.site_glob = glob;
     } else if (const char* cap = value("--nth-cap=")) {
-      opt.nth_cap = ::strtoull(cap, nullptr, 10);
-      if (opt.nth_cap == 0) return Usage();
+      auto n = ParseUnsigned(cap);
+      if (!n.has_value() || *n == 0) return Usage();
+      opt.nth_cap = *n;
     } else if (const char* seed = value("--seed=")) {
-      opt.seed = ::strtoull(seed, nullptr, 10);
+      auto n = ParseUnsigned(seed);
+      if (!n.has_value()) {
+        ::fprintf(stderr, "faultsweep: --seed wants a non-negative integer, got '%s'\n", seed);
+        return Usage();
+      }
+      opt.seed = *n;
     } else if (arg == "--list") {
       opt.list_only = true;
     } else if (arg == "--verbose") {

@@ -134,7 +134,13 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "forklift-run: %s\n", v.error().ToString().c_str());
         return 125;
       }
-      shards = static_cast<size_t>(std::strtoul(v->c_str(), nullptr, 10));
+      auto n = ParseUnsigned(*v);
+      if (!n.has_value()) {
+        std::fprintf(stderr, "forklift-run: --shards wants a non-negative integer, got '%s'\n",
+                     v->c_str());
+        return 125;
+      }
+      shards = static_cast<size_t>(*n);
     } else if (a == "--env") {
       v = need_value("--env");
       if (!v.ok()) {
@@ -207,14 +213,27 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "forklift-run: %s\n", v.error().ToString().c_str());
         return 125;
       }
-      umask_value = static_cast<mode_t>(std::strtol(v->c_str(), nullptr, 8));
+      auto mask = ParseUnsigned(*v, 8, 0777);
+      if (!mask.has_value()) {
+        std::fprintf(stderr, "forklift-run: --umask wants an octal value up to 0777, got '%s'\n",
+                     v->c_str());
+        return 125;
+      }
+      umask_value = static_cast<mode_t>(*mask);
     } else if (a == "--rlimit-nofile") {
       v = need_value("--rlimit-nofile");
       if (!v.ok()) {
         std::fprintf(stderr, "forklift-run: %s\n", v.error().ToString().c_str());
         return 125;
       }
-      nofile = static_cast<rlim_t>(std::strtoul(v->c_str(), nullptr, 10));
+      auto n = ParseUnsigned(*v);
+      if (!n.has_value()) {
+        std::fprintf(stderr,
+                     "forklift-run: --rlimit-nofile wants a non-negative integer, got '%s'\n",
+                     v->c_str());
+        return 125;
+      }
+      nofile = static_cast<rlim_t>(*n);
     } else if (a == "--close-other-fds") {
       close_other_fds = true;
     } else if (a == "--new-session") {
@@ -232,7 +251,13 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "forklift-run: %s\n", v.error().ToString().c_str());
         return 125;
       }
-      timeout_seconds = std::strtod(v->c_str(), nullptr);
+      auto seconds = ParseSeconds(*v);
+      if (!seconds.has_value()) {
+        std::fprintf(stderr, "forklift-run: --timeout wants a non-negative number, got '%s'\n",
+                     v->c_str());
+        return 125;
+      }
+      timeout_seconds = *seconds;
     } else {
       std::fprintf(stderr, "forklift-run: unknown option '%s'\n", a.c_str());
       return Usage(argv[0]);

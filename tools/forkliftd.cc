@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "src/common/log.h"
+#include "src/common/string_util.h"
 #include "src/forkserver/server.h"
 #include "src/obs/export.h"
 #include "src/obs/registry.h"
@@ -164,13 +165,13 @@ int main(int argc, char** argv) {
     } else if (args[i] == "--daemon") {
       daemonize = true;
     } else if (args[i] == "--shards" && i + 1 < args.size()) {
-      char* end = nullptr;
-      unsigned long n = std::strtoul(args[++i].c_str(), &end, 10);
-      if (end == nullptr || *end != '\0') {
-        std::fprintf(stderr, "forkliftd: --shards expects a number, got '%s'\n", args[i].c_str());
+      auto n = ParseUnsigned(args[++i]);
+      if (!n.has_value()) {
+        std::fprintf(stderr, "forkliftd: --shards expects a non-negative integer, got '%s'\n",
+                     args[i].c_str());
         return 2;
       }
-      shards = n > 0 ? static_cast<size_t>(n)
+      shards = *n > 0 ? static_cast<size_t>(*n)
                      : (::sysconf(_SC_NPROCESSORS_ONLN) > 0
                             ? static_cast<size_t>(::sysconf(_SC_NPROCESSORS_ONLN))
                             : 1);
