@@ -41,12 +41,29 @@ double DirectRate(SpawnBackendKind kind) {
   return kTasks / sw.ElapsedSeconds();
 }
 
+// One zygote task: /bin/true launched on `channel`, then waited on that
+// same channel (the server, not us, is the child's parent).
+bool ZygoteTask(ForkServerClient& channel) {
+  auto req = Spawner("/bin/true").BuildRequest();
+  if (!req.ok()) {
+    return false;
+  }
+  auto launched = channel.LaunchAsync(*req);
+  if (!launched.ok()) {
+    return false;
+  }
+  auto pid = launched->AwaitPid();
+  if (!pid.ok()) {
+    return false;
+  }
+  auto wait = channel.WaitAsync(*pid);
+  return wait.ok() && wait->AwaitExit().ok();
+}
+
 double ForkServerRate(ForkServerClient& client) {
   Stopwatch sw;
   for (int i = 0; i < kTasks; ++i) {
-    Spawner s("/bin/true");
-    auto child = client.Spawn(s);
-    if (!child.ok() || !child->Wait().ok()) {
+    if (!ZygoteTask(client)) {
       return -1;
     }
   }
@@ -74,9 +91,7 @@ double ThreadedRate(std::vector<ForkServerClient*>& clients, int threads) {
     ForkServerClient* client = clients[static_cast<size_t>(t) % clients.size()];
     workers.emplace_back([client, &completed] {
       for (int i = 0; i < kTasks / 3; ++i) {
-        Spawner s("/bin/true");
-        auto child = client->Spawn(s);
-        if (child.ok() && child->Wait().ok()) {
+        if (ZygoteTask(*client)) {
           ++completed;
         }
       }

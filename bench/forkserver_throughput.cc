@@ -97,12 +97,15 @@ uint64_t WireWriteSyscalls() {
 
 // One thread's share, pipelined: a window of `depth` spawns is submitted
 // before the first await, so the zygote's fork work overlaps both the
-// channel round trips and the children's lifetimes.
-void PipelinedWorker(RemoteSpawnService* service, ForkServerClient* channel,
-                     ShardedForkServer* pool, const SpawnRequest& req, int ops, int depth,
-                     SampleStats* lat_ms, uint64_t* failures) {
+// channel round trips and the children's lifetimes. Each child is waited on
+// the channel that launched it: `channel` itself, or the shard the pool
+// routed it to.
+void PipelinedWorker(const std::shared_ptr<ForkServerClient>& channel, ShardedForkServer* pool,
+                     const SpawnRequest& req, int ops, int depth, SampleStats* lat_ms,
+                     uint64_t* failures) {
   struct InFlight {
     Stopwatch start;
+    std::shared_ptr<ForkServerClient> channel;
     pid_t pid = -1;
   };
   int submitted = 0;
@@ -130,7 +133,7 @@ void PipelinedWorker(RemoteSpawnService* service, ForkServerClient* channel,
           ++*failures;
           continue;
         }
-        flights.push_back({start, *pid});
+        flights.push_back({start, channel, *pid});
       }
     } else {
       std::vector<std::pair<Stopwatch, ShardedForkServer::PendingSpawn>> launches;
@@ -145,17 +148,23 @@ void PipelinedWorker(RemoteSpawnService* service, ForkServerClient* channel,
         launches.emplace_back(start, std::move(*p));
       }
       for (auto& [start, p] : launches) {
+        std::shared_ptr<ForkServerClient> shard = p.channel();
         auto pid = p.AwaitPid();
         if (!pid.ok()) {
           ++*failures;
           continue;
         }
-        flights.push_back({start, *pid});
+        flights.push_back({start, std::move(shard), *pid});
       }
     }
 
     for (const InFlight& flight : flights) {
-      auto st = service->WaitRemote(flight.pid);
+      auto wait = flight.channel->WaitAsync(flight.pid);
+      if (!wait.ok()) {
+        ++*failures;
+        continue;
+      }
+      auto st = wait->AwaitExit();
       if (!st.ok() || !st->Success()) {
         ++*failures;
         continue;
@@ -229,17 +238,17 @@ CellResult RunCell(const std::string& mode, int threads, int shards, int depth, 
       std::fprintf(stderr, "server start: %s\n", handle.error().ToString().c_str());
       std::exit(1);
     }
-    ForkServerClient client(std::move(handle->client_sock));
+    auto client = std::make_shared<ForkServerClient>(std::move(handle->client_sock));
     if (trivial) {
       run_threads([&](int t) {
-        TrivialWorker(&client, req, per_thread, depth, &lat[t], &failures[t]);
+        TrivialWorker(client.get(), req, per_thread, depth, &lat[t], &failures[t]);
       });
     } else {
       run_threads([&](int t) {
-        PipelinedWorker(&client, &client, nullptr, req, per_thread, depth, &lat[t], &failures[t]);
+        PipelinedWorker(client, nullptr, req, per_thread, depth, &lat[t], &failures[t]);
       });
     }
-    (void)client.Shutdown();
+    (void)client->Shutdown();
     (void)WaitForExit(handle->server_pid);
   } else {
     ShardedForkServer::Options opts;
@@ -250,8 +259,7 @@ CellResult RunCell(const std::string& mode, int threads, int shards, int depth, 
       std::exit(1);
     }
     run_threads([&](int t) {
-      PipelinedWorker(pool->get(), nullptr, pool->get(), req, per_thread, depth, &lat[t],
-                      &failures[t]);
+      PipelinedWorker(nullptr, pool->get(), req, per_thread, depth, &lat[t], &failures[t]);
     });
     (void)(*pool)->Shutdown();
   }

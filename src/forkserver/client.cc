@@ -1,6 +1,5 @@
 #include "src/forkserver/client.h"
 
-#include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 
@@ -72,23 +71,6 @@ Result<UniqueFd> ConnectUnixSocket(const std::string& path, const char* who) {
 }
 
 }  // namespace
-
-Result<ExitStatus> RemoteChild::Wait() {
-  if (!valid() || service_ == nullptr) {
-    return LogicalError("RemoteChild::Wait on invalid handle");
-  }
-  return service_->WaitRemote(pid_);
-}
-
-Status RemoteChild::Kill(int sig) {
-  if (!valid()) {
-    return LogicalError("RemoteChild::Kill on invalid handle");
-  }
-  if (::kill(pid_, sig) < 0) {
-    return ErrnoError("kill (remote child)");
-  }
-  return Status::Ok();
-}
 
 // ---------------------------------------------------------------------------
 // ForkServerClient
@@ -583,22 +565,6 @@ void ForkServerClient::ReceiverLoop() {
 bool ForkServerClient::dead() const {
   std::lock_guard<std::mutex> lock(mu_);
   return dead_;
-}
-
-Result<pid_t> ForkServerClient::LaunchRequest(const SpawnRequest& req) {
-  FORKLIFT_ASSIGN_OR_RETURN(PendingReply pending, LaunchAsync(req));
-  return pending.AwaitPid();
-}
-
-Result<RemoteChild> ForkServerClient::Spawn(const Spawner& spawner) {
-  FORKLIFT_ASSIGN_OR_RETURN(SpawnRequest req, spawner.BuildRequest());
-  FORKLIFT_ASSIGN_OR_RETURN(pid_t pid, LaunchRequest(req));
-  return RemoteChild(this, pid);
-}
-
-Result<ExitStatus> ForkServerClient::WaitRemote(pid_t pid) {
-  FORKLIFT_ASSIGN_OR_RETURN(PendingReply pending, WaitAsync(pid));
-  return pending.AwaitExit();
 }
 
 Status ForkServerClient::Ping() {

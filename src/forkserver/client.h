@@ -4,10 +4,11 @@
 // tagged with a request_id and many may be in flight on one channel at once;
 // a dedicated receiver thread matches out-of-order replies back to their
 // issuers, so a slow kWait never head-of-line-blocks the other callers
-// sharing the socket. RemoteChild mirrors spawn::Child for processes that are
-// NOT our children (they belong to the server), so waiting is a protocol
-// round trip instead of waitpid. SpawnService callers reach the zygote
-// through the transports in service_adapters.h, not through this header.
+// sharing the socket. A zygote child is NOT our child (its parent is the
+// server), so waiting on it is a kWait on the channel that launched it:
+// LaunchAsync then WaitAsync on the same client. SpawnService callers reach
+// the zygote through the transports in service_adapters.h, whose
+// ProcessHandles do exactly that.
 #ifndef SRC_FORKSERVER_CLIENT_H_
 #define SRC_FORKSERVER_CLIENT_H_
 
@@ -15,7 +16,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <csignal>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -31,44 +31,8 @@
 #include "src/forkserver/protocol.h"
 #include "src/obs/export.h"
 #include "src/spawn/backend.h"
-#include "src/spawn/spawner.h"
 
 namespace forklift {
-
-// The spawn/wait surface a remote child needs from whatever launched it: a
-// single channel and the sharded pool both implement it, so RemoteChild works
-// against either.
-class RemoteSpawnService {
- public:
-  virtual ~RemoteSpawnService() = default;
-
-  // Ships an already-resolved request; returns the remote pid.
-  virtual Result<pid_t> LaunchRequest(const SpawnRequest& req) = 0;
-
-  // Blocks (via the server) until the child exits.
-  virtual Result<ExitStatus> WaitRemote(pid_t pid) = 0;
-};
-
-// A process created on our behalf by the fork server. Exit status comes from
-// the server, which is the actual parent.
-class RemoteChild {
- public:
-  RemoteChild() = default;
-  RemoteChild(RemoteSpawnService* service, pid_t pid) : service_(service), pid_(pid) {}
-
-  pid_t pid() const { return pid_; }
-  bool valid() const { return pid_ > 0; }
-
-  // Blocks (via the server) until the child exits.
-  Result<ExitStatus> Wait();
-
-  // kill(2) directly: pids are in our namespace even though parentage is not.
-  Status Kill(int sig = SIGTERM);
-
- private:
-  RemoteSpawnService* service_ = nullptr;
-  pid_t pid_ = -1;
-};
 
 // The pipelined client. Thread-safe: any number of threads may issue
 // requests concurrently; each request gets a fresh request_id and a
@@ -85,14 +49,14 @@ class RemoteChild {
 // frame immediately. Frames carrying fds are sent synchronously (the fds are
 // borrowed): the pending run is flushed first for ordering, then the frame
 // goes out as a single sendmsg with the fds attached to its own first bytes.
-class ForkServerClient final : public RemoteSpawnService {
+class ForkServerClient final {
   struct Slot;
 
  public:
   // Takes ownership of the client end of the server's socket and starts the
   // receiver thread.
   explicit ForkServerClient(UniqueFd sock);
-  ~ForkServerClient() override;
+  ~ForkServerClient();
   ForkServerClient(const ForkServerClient&) = delete;
   ForkServerClient& operator=(const ForkServerClient&) = delete;
 
@@ -136,17 +100,18 @@ class ForkServerClient final : public RemoteSpawnService {
   // --- pipelined API: submit without waiting, await later ---
   // `request_id` 0 allocates a fresh process-wide id (obs::NextRequestId);
   // a routed caller passes its trace id so the frame on the wire carries it.
+  // Pipe stdio is not supported over the wire (create pipes locally and use
+  // Stdio::Fd / PassFd — the descriptors travel via SCM_RIGHTS). WaitAsync
+  // must go to the channel that launched `pid`: only that server is its
+  // parent. It parks server-side on the child's pidfd watch, so it blocks
+  // only the awaiting thread, not the channel; AwaitExitFor gives a timed
+  // wait that stays collectable.
   Result<PendingReply> LaunchAsync(const SpawnRequest& req, uint64_t request_id = 0);
   Result<PendingReply> WaitAsync(pid_t pid);
   Result<PendingReply> PingAsync();
   Result<PendingReply> StatsAsync(obs::StatsFormat format);
 
   // --- synchronous API (submit + await) ---
-
-  // Ships the spawner's resolved request to the server. Pipe stdio is not
-  // supported over the wire (create pipes locally and use Stdio::Fd /
-  // PassFd — the descriptors are transferred via SCM_RIGHTS).
-  Result<RemoteChild> Spawn(const Spawner& spawner);
 
   // Round-trip liveness probe.
   Status Ping();
@@ -156,14 +121,6 @@ class ForkServerClient final : public RemoteSpawnService {
 
   // Asks the server to exit after acknowledging.
   Status Shutdown();
-
-  // Used by RemoteChild. The wait parks server-side on the child's pidfd
-  // watch, so it blocks only the calling thread, not the channel. For a
-  // timed wait, keep the PendingReply from WaitAsync and use AwaitExitFor.
-  Result<ExitStatus> WaitRemote(pid_t pid) override;
-
-  // Low-level: ship an already-resolved request; returns the remote pid.
-  Result<pid_t> LaunchRequest(const SpawnRequest& req) override;
 
   // Opens an additional private channel to the same server (the new socket
   // travels over this one via SCM_RIGHTS). With pipelining one channel rarely

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "src/common/syscall.h"
-#include "src/spawn/service.h"
 #include "src/spawn/spawner.h"
 
 namespace forklift {
@@ -34,21 +33,14 @@ Status ShellWorkerPool::Start(const Options& opts) {
                                 .SetStdout(Stdio::Pipe())
                                 .SetStderr(Stdio::Null())
                                 .SetBackend(opts.backend);
-  auto spawn_worker = [&]() -> Result<ProcessHandle> {
-    if (opts.service != nullptr) {
-      return opts.service->Spawn(worker_template);
-    }
-    FORKLIFT_ASSIGN_OR_RETURN(Child child, worker_template.Spawn());
-    return ProcessHandle::FromChild(std::move(child));
-  };
   for (size_t i = 0; i < opts.workers; ++i) {
-    auto handle = spawn_worker();
-    if (!handle.ok()) {
+    auto child = worker_template.Spawn();
+    if (!child.ok()) {
       (void)Stop();
-      return Err(handle.error());
+      return Err(child.error());
     }
     Worker w;
-    w.child = std::move(handle).value();
+    w.child = ProcessHandle::FromChild(std::move(child).value());
     workers_.push_back(std::move(w));
   }
   // Arm the watches only once workers_ has its final size: the callbacks

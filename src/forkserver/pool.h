@@ -21,18 +21,11 @@
 
 namespace forklift {
 
-class SpawnService;
-
 class ShellWorkerPool {
  public:
   struct Options {
     size_t workers = 4;
     SpawnBackendKind backend = SpawnBackendKind::kForkExec;
-    // When set, workers are launched through this routing layer (not owned,
-    // must outlive the pool) instead of a direct backend spawn. Workers need
-    // pipe stdio, so the service's capability check steers them onto a
-    // pipe-capable (local) route automatically.
-    SpawnService* service = nullptr;
   };
 
   ShellWorkerPool() = default;

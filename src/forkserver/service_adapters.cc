@@ -19,29 +19,21 @@ namespace {
 class RemoteProcessImpl final : public ProcessHandle::Impl {
  public:
   RemoteProcessImpl(std::shared_ptr<ForkServerClient> channel, pid_t pid,
-                    std::function<void(pid_t)> on_reaped)
-      : channel_(std::move(channel)), pid_(pid), on_reaped_(std::move(on_reaped)) {}
+                    std::shared_ptr<ShardedForkServer> pool)
+      : channel_(std::move(channel)), pid_(pid), pool_(std::move(pool)) {}
 
   pid_t pid() const override { return pid_; }
 
   Result<ExitStatus> Wait() override {
     FORKLIFT_RETURN_IF_ERROR(EnsureWaitSubmitted());
-    auto st = wait_.AwaitExit();
-    if (st.ok()) {
-      NoteReaped();
-    }
-    return st;
+    return wait_.AwaitExit();
   }
 
   Result<std::optional<ExitStatus>> TryWait() override { return WaitDeadline(0); }
 
   Result<std::optional<ExitStatus>> WaitDeadline(double timeout_seconds) override {
     FORKLIFT_RETURN_IF_ERROR(EnsureWaitSubmitted());
-    auto st = wait_.AwaitExitFor(timeout_seconds);
-    if (st.ok() && st.value().has_value()) {
-      NoteReaped();
-    }
-    return st;
+    return wait_.AwaitExitFor(timeout_seconds);
   }
 
   Status Kill(int sig) override {
@@ -62,26 +54,21 @@ class RemoteProcessImpl final : public ProcessHandle::Impl {
     return Status::Ok();
   }
 
-  void NoteReaped() {
-    if (on_reaped_) {
-      on_reaped_(pid_);
-      on_reaped_ = nullptr;
-    }
-  }
-
   std::shared_ptr<ForkServerClient> channel_;
   pid_t pid_;
+  // Keeps a routing pool (and so the child's parent shard) up; see
+  // MakeRemoteProcessHandle.
+  std::shared_ptr<ShardedForkServer> pool_;
   ForkServerClient::PendingReply wait_;
-  std::function<void(pid_t)> on_reaped_;
 };
 
 }  // namespace
 
 ProcessHandle MakeRemoteProcessHandle(std::shared_ptr<ForkServerClient> channel, pid_t pid,
                                       std::string route,
-                                      std::function<void(pid_t)> on_reaped) {
+                                      std::shared_ptr<ShardedForkServer> pool) {
   return ProcessHandle::FromImpl(
-      std::make_unique<RemoteProcessImpl>(std::move(channel), pid, std::move(on_reaped)),
+      std::make_unique<RemoteProcessImpl>(std::move(channel), pid, std::move(pool)),
       std::move(route));
 }
 
@@ -265,11 +252,9 @@ Result<ProcessHandle> ShardedTransport::Launch(const Spawner& spawner, uint64_t 
                    : SpawnFailureKind::kRequest;
     return Err(pid.error());
   }
-  // The handle waits on the shard channel directly, so tell the pool to drop
-  // its pid->shard entry once the status is collected (the lambda's captured
-  // shared_ptr also keeps the pool alive as long as handles are out).
-  return MakeRemoteProcessHandle(std::move(channel), pid.value(), Name(),
-                                 [pool](pid_t p) { pool->ForgetChild(p); });
+  // The handle waits on the shard channel and holds the pool, so the
+  // child's parent shard stays up as long as the handle is out.
+  return MakeRemoteProcessHandle(std::move(channel), pid.value(), Name(), std::move(pool));
 }
 
 }  // namespace forklift

@@ -19,7 +19,6 @@
 
 #include <sys/types.h>
 
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -32,14 +31,15 @@
 
 namespace forklift {
 
-// Wraps a fork-server child in a ProcessHandle. Wait/TryWait/WaitDeadline
-// park a single kWait on `channel` (submitted lazily on the first wait, kept
-// in flight across deadline timeouts); Kill is a plain kill(2) since pids
-// share our namespace. `on_reaped` (optional) runs exactly once when the
-// exit status is collected — transports use it to drop routing bookkeeping.
+// Wraps a fork-server child in a ProcessHandle. `channel` must be the one
+// that launched `pid`. Wait/TryWait/WaitDeadline park a single kWait on it
+// (submitted lazily on the first wait, kept in flight across deadline
+// timeouts); Kill is a plain kill(2) since pids share our namespace. `pool`
+// (optional) is the sharded pool that routed the spawn: the handle holds it,
+// so the shard that parents the child outlives its transport and service.
 ProcessHandle MakeRemoteProcessHandle(std::shared_ptr<ForkServerClient> channel, pid_t pid,
                                       std::string route,
-                                      std::function<void(pid_t)> on_reaped = {});
+                                      std::shared_ptr<ShardedForkServer> pool = nullptr);
 
 // One pipelined zygote channel as a SpawnService route ("forkserver").
 // Construction is cheap; the channel is established on first Launch/Probe

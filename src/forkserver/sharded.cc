@@ -105,11 +105,6 @@ void ShardedForkServer::CleanupShardLocked(size_t idx) {
   }
   shard.client.reset();
   ReapShardLocked(idx);
-  // Children of the dead shard have no parent left to wait on them; forget
-  // them so their waits fail fast with ECHILD instead of routing nowhere.
-  std::erase_if(owner_, [idx, gen = shard.generation](const auto& entry) {
-    return entry.second.first == idx && entry.second.second == gen;
-  });
 }
 
 void ShardedForkServer::NoteShardFailure(size_t idx, uint64_t generation) {
@@ -213,66 +208,10 @@ Result<pid_t> ShardedForkServer::PendingSpawn::AwaitPid() {
   auto pid = reply_.AwaitPid();
   bool channel_died = channel_->dead();
   channel_.reset();
-  if (!pid.ok()) {
-    if (channel_died) {
-      pool->NoteShardFailure(shard_, generation_);
-    }
-    return Err(pid.error());
+  if (!pid.ok() && channel_died) {
+    pool->NoteShardFailure(shard_, generation_);
   }
-  pool->RegisterChild(*pid, shard_, generation_);
-  return *pid;
-}
-
-void ShardedForkServer::RegisterChild(pid_t pid, size_t idx, uint64_t generation) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (shut_down_ || shards_[idx].generation != generation) {
-    return;  // the shard is already gone; its child is unwaitable
-  }
-  owner_[pid] = {idx, generation};
-}
-
-Result<pid_t> ShardedForkServer::LaunchRequest(const SpawnRequest& req) {
-  FORKLIFT_ASSIGN_OR_RETURN(PendingSpawn pending, LaunchAsync(req));
-  return pending.AwaitPid();
-}
-
-Result<ExitStatus> ShardedForkServer::WaitRemote(pid_t pid) {
-  size_t idx;
-  uint64_t generation;
-  std::shared_ptr<ForkServerClient> client;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = owner_.find(pid);
-    if (it == owner_.end()) {
-      return Err(Error(ECHILD, "sharded forkserver: pid " + std::to_string(pid) +
-                                   " is not owned by any live shard"));
-    }
-    idx = it->second.first;
-    generation = it->second.second;
-    if (shards_[idx].generation != generation || shards_[idx].client == nullptr) {
-      owner_.erase(it);
-      return Err(Error(ECHILD, "sharded forkserver: owning shard of pid " +
-                                   std::to_string(pid) + " is gone"));
-    }
-    client = shards_[idx].client;
-  }
-  auto status = client->WaitRemote(pid);
-  bool channel_died = client->dead();
-  client.reset();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    owner_.erase(pid);
-  }
-  if (!status.ok() && channel_died) {
-    NoteShardFailure(idx, generation);
-  }
-  return status;
-}
-
-Result<RemoteChild> ShardedForkServer::Spawn(const Spawner& spawner) {
-  FORKLIFT_ASSIGN_OR_RETURN(SpawnRequest req, spawner.BuildRequest());
-  FORKLIFT_ASSIGN_OR_RETURN(pid_t pid, LaunchRequest(req));
-  return RemoteChild(this, pid);
+  return pid;
 }
 
 Status ShardedForkServer::Ping() {
@@ -313,7 +252,6 @@ Status ShardedForkServer::Shutdown() {
       shard.client.reset();
       shard.server_pid = -1;
     }
-    owner_.clear();
   }
   Status first_error = Status::Ok();
   for (auto& [client, pid] : to_stop) {
@@ -332,11 +270,6 @@ Status ShardedForkServer::Shutdown() {
     }
   }
   return first_error;
-}
-
-void ShardedForkServer::ForgetChild(pid_t pid) {
-  std::lock_guard<std::mutex> lock(mu_);
-  owner_.erase(pid);
 }
 
 size_t ShardedForkServer::shard_count() const {

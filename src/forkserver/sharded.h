@@ -5,9 +5,10 @@
 // pattern was meant to remove. ShardedForkServer is the front-end that fixes
 // the fan-in: it launches N fork-server processes (default one per online
 // CPU), routes each spawn to the shard with the fewest requests in flight
-// (every shard channel is a pipelined ForkServerClient), keeps kWait
-// affine to the shard that owns the child (only that shard is the parent),
-// and transparently restarts a shard that crashes. In-flight requests on a
+// (every shard channel is a pipelined ForkServerClient) and transparently
+// restarts a shard that crashes. The pool keeps no per-child state: a caller
+// waits on the channel that launched the child (PendingSpawn::channel()),
+// which is the only shard that is its parent. In-flight requests on a
 // crashed shard complete exactly once, with a clean error — never silently
 // lost, never retried after the frame reached the wire (a retry could fork
 // the child twice).
@@ -17,10 +18,8 @@
 #include <sys/types.h>
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <utility>
 #include <vector>
 
 #include "src/common/result.h"
@@ -28,7 +27,7 @@
 
 namespace forklift {
 
-class ShardedForkServer final : public RemoteSpawnService {
+class ShardedForkServer final {
  public:
   struct Options {
     size_t shards = 0;  // 0 → one shard per online CPU
@@ -44,12 +43,12 @@ class ShardedForkServer final : public RemoteSpawnService {
   static Result<std::unique_ptr<ShardedForkServer>> Start() { return Start(Options{}); }
 
   // Shuts every shard down (if not already done via Shutdown()).
-  ~ShardedForkServer() override;
+  ~ShardedForkServer();
   ShardedForkServer(const ShardedForkServer&) = delete;
   ShardedForkServer& operator=(const ShardedForkServer&) = delete;
 
-  // A routed in-flight spawn. AwaitPid() blocks for the reply and registers
-  // the pid→shard ownership needed by WaitRemote.
+  // A routed in-flight spawn. AwaitPid() blocks for the reply; a channel
+  // that died under it retires (and, if enabled, restarts) its shard.
   class PendingSpawn {
    public:
     PendingSpawn() = default;
@@ -59,10 +58,9 @@ class ShardedForkServer final : public RemoteSpawnService {
     bool valid() const { return pool_ != nullptr; }
     Result<pid_t> AwaitPid();
 
-    // The shard channel this spawn was routed to. Grab it BEFORE AwaitPid
-    // (which releases the reference): a caller who wants per-channel waits
-    // — e.g. a ProcessHandle parking a kWait on the same shard — needs the
-    // channel to outlive the pool's routing bookkeeping.
+    // The shard channel this spawn was routed to: the one to WaitAsync the
+    // child on. Grab it BEFORE AwaitPid, which releases the reference. Held,
+    // it outlives a restart of its shard; a wait on it then fails cleanly.
     std::shared_ptr<ForkServerClient> channel() const { return channel_; }
 
    private:
@@ -81,23 +79,11 @@ class ShardedForkServer final : public RemoteSpawnService {
   // trace id so the wire frame and the shard.dispatch span carry it.
   Result<PendingSpawn> LaunchAsync(const SpawnRequest& req, uint64_t trace_id = 0);
 
-  // RemoteSpawnService: synchronous routed spawn / affine wait.
-  Result<pid_t> LaunchRequest(const SpawnRequest& req) override;
-  Result<ExitStatus> WaitRemote(pid_t pid) override;
-
-  // Ships the spawner's resolved request through the pool.
-  Result<RemoteChild> Spawn(const Spawner& spawner);
-
   // Probes every shard.
   Status Ping();
 
   // Asks every shard to exit and reaps the shard processes.
   Status Shutdown();
-
-  // Drops the pid→shard ownership entry without waiting. For callers that
-  // wait on the shard channel directly (via PendingSpawn::channel()) instead
-  // of WaitRemote, so a reaped child does not leak a map entry.
-  void ForgetChild(pid_t pid);
 
   size_t shard_count() const;
   // Server-process pids, one per shard (tests and the fault sweep kill
@@ -119,10 +105,8 @@ class ShardedForkServer final : public RemoteSpawnService {
   Status StartShardLocked(size_t idx);
   // Reaps shards_[idx]'s dead server (mu_ held).
   void ReapShardLocked(size_t idx);
-  // Drops the channel, reaps the server, forgets its children (mu_ held).
+  // Drops the channel and reaps the server (mu_ held).
   void CleanupShardLocked(size_t idx);
-  // Records pid→shard ownership after a successful routed spawn.
-  void RegisterChild(pid_t pid, size_t idx, uint64_t generation);
   // Called when a request observed shards_[idx] (at `generation`) dead:
   // restarts or retires the shard, exactly once per generation.
   void NoteShardFailure(size_t idx, uint64_t generation);
@@ -133,8 +117,6 @@ class ShardedForkServer final : public RemoteSpawnService {
   Options options_;
   mutable std::mutex mu_;
   std::vector<Shard> shards_;
-  // child pid → owning {shard, generation}: kWait must go to the parent.
-  std::map<pid_t, std::pair<size_t, uint64_t>> owner_;
   uint64_t restarts_ = 0;
   bool shut_down_ = false;
 };

@@ -8,7 +8,11 @@
 // fork-family engines (CLONE_CLEAR_SIGHAND needs clone3, whose raw syscall
 // cannot be used safely through libc's syscall() wrapper — the child would
 // resume on an empty stack inside a C frame; the clone() wrapper does the
-// necessary assembly for us).
+// necessary assembly for us). Until that reset, a caught signal would run
+// its handler in the child on our memory, so — as glibc's posix_spawn
+// does — every signal is blocked across clone() and the child unblocks only
+// after its handlers are reset.
+#include <pthread.h>
 #include <sched.h>
 #include <signal.h>
 #include <sys/wait.h>
@@ -31,6 +35,7 @@ struct CloneChildArgs {
   const SpawnRequest* req;
   const char* const* targets;
   int err_fd;
+  const sigset_t* caller_mask;
 };
 
 // Entry point on the dedicated child stack. Shares the parent's address
@@ -38,7 +43,7 @@ struct CloneChildArgs {
 // until exec or _exit, so reads of the request are race-free.
 int CloneChildMain(void* raw) {
   auto* args = static_cast<CloneChildArgs*>(raw);
-  internal::ChildExec(*args->req, args->targets, args->err_fd);
+  internal::ChildExec(*args->req, args->targets, args->err_fd, args->caller_mask);
   // ChildExec never returns.
 }
 
@@ -61,15 +66,26 @@ class Clone3Engine : public SpawnBackend {
     constexpr size_t kStackBytes = 128 * 1024;
     std::vector<uint64_t> stack(kStackBytes / sizeof(uint64_t));
 
+    // The child starts with every signal blocked and takes the caller's mask
+    // with it, to exec with unless the request clears the mask.
+    sigset_t all;
+    sigset_t caller_mask;
+    sigfillset(&all);
+    ::pthread_sigmask(SIG_BLOCK, &all, &caller_mask);
+
     CloneChildArgs args;
     args.req = &req;
     args.targets = target_ptrs.data();
     args.err_fd = exec_pipe.write_end.get();
+    args.caller_mask = &caller_mask;
 
     // Stacks grow down on every architecture we target: pass the top.
     void* stack_top = stack.data() + stack.size();
     int pid = ::clone(CloneChildMain, stack_top, CLONE_VM | CLONE_VFORK | SIGCHLD, &args);
+    int clone_errno = errno;
+    ::pthread_sigmask(SIG_SETMASK, &caller_mask, nullptr);
     if (pid < 0) {
+      errno = clone_errno;
       return ErrnoError("clone(CLONE_VM|CLONE_VFORK)");
     }
     exec_pipe.write_end.Reset();

@@ -72,7 +72,8 @@ constexpr int kErrFdFloor = 1000;
 
 }  // namespace
 
-void ChildExec(const SpawnRequest& req, const char* const* exec_paths, int err_fd) {
+void ChildExec(const SpawnRequest& req, const char* const* exec_paths, int err_fd,
+               const sigset_t* caller_mask) {
   // Move the error pipe out of the way of the fd plan and make sure it
   // disappears on exec.
   int high = ::fcntl(err_fd, F_DUPFD_CLOEXEC, kErrFdFloor);
@@ -81,19 +82,27 @@ void ChildExec(const SpawnRequest& req, const char* const* exec_paths, int err_f
     err_fd = high;
   }
 
-  if (req.reset_signal_handlers) {
+  if (req.reset_signal_handlers || caller_mask != nullptr) {
     struct sigaction sa;
     std::memset(&sa, 0, sizeof(sa));
     sa.sa_handler = SIG_DFL;
     for (int sig = 1; sig < NSIG; ++sig) {
+      if (!req.reset_signal_handlers) {
+        // Shared memory: only caught signals must go (SIG_IGN survives exec).
+        struct sigaction old;
+        if (::sigaction(sig, nullptr, &old) < 0 || old.sa_handler == SIG_IGN ||
+            old.sa_handler == SIG_DFL) {
+          continue;
+        }
+      }
       // SIGKILL/SIGSTOP fail with EINVAL; that is fine.
       ::sigaction(sig, &sa, nullptr);
     }
   }
-  if (req.reset_signal_mask) {
+  if (req.reset_signal_mask || caller_mask != nullptr) {
     sigset_t empty;
     sigemptyset(&empty);
-    if (::sigprocmask(SIG_SETMASK, &empty, nullptr) < 0) {
+    if (::sigprocmask(SIG_SETMASK, req.reset_signal_mask ? &empty : caller_mask, nullptr) < 0) {
       Fail(err_fd, errno, "sigprocmask");
     }
   }

@@ -11,6 +11,7 @@
 #ifndef SRC_SPAWN_BACKEND_COMMON_H_
 #define SRC_SPAWN_BACKEND_COMMON_H_
 
+#include <signal.h>
 #include <sys/types.h>
 
 #include <string>
@@ -38,7 +39,16 @@ struct ExecFailure {
 // failure, reports through `err_fd` and _exit(127)s. Never returns.
 // Async-signal-safe. `err_fd` may be any descriptor; it is relocated above the
 // plan's fd range internally.
-[[noreturn]] void ChildExec(const SpawnRequest& req, const char* const* exec_paths, int err_fd);
+//
+// `caller_mask` is for engines that share the caller's memory and block
+// every signal across the launch (clone-vm): it is the caller's own mask,
+// which the child execs with when `req.reset_signal_mask` is off. With it
+// set, the child also drops every caught signal to SIG_DFL before unblocking
+// anything, even when `req.reset_signal_handlers` is off: a handler run in
+// the child would run on the caller's memory, and execve resets caught
+// signals anyway.
+[[noreturn]] void ChildExec(const SpawnRequest& req, const char* const* exec_paths, int err_fd,
+                            const sigset_t* caller_mask = nullptr);
 
 // Parent-side: waits for the exec pipe to close (success) or deliver an
 // ExecFailure (failure; the dead child is reaped before returning the error).

@@ -4,6 +4,8 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <memory>
+
 #include "src/common/pipe.h"
 #include "src/common/syscall.h"
 #include "src/forkserver/client.h"
@@ -12,6 +14,7 @@
 #include "src/forkserver/protocol.h"
 #include "src/forkserver/server.h"
 #include "src/spawn/spawner.h"
+#include "tests/forkserver/launch_on.h"
 
 namespace forklift {
 namespace {
@@ -33,9 +36,9 @@ TEST(ForkServerFailureTest, SpawnAgainstDeadServerFailsCleanly) {
   ASSERT_EQ(::kill(handle->server_pid, SIGKILL), 0);
   ASSERT_TRUE(WaitForExit(handle->server_pid).ok());
 
-  ForkServerClient client(std::move(handle->client_sock));
+  auto client = std::make_shared<ForkServerClient>(std::move(handle->client_sock));
   Spawner s("/bin/true");
-  auto child = client.Spawn(s);
+  auto child = LaunchOn(client, s);
   EXPECT_FALSE(child.ok());  // EOF or EPIPE — never a hang
 }
 
@@ -70,17 +73,17 @@ TEST(ForkServerFailureTest, GarbageFrameGetsErrorReply) {
 TEST(ForkServerFailureTest, ServerSurvivesSpawnOfMissingBinary) {
   auto handle = StartForkServerProcess();
   ASSERT_TRUE(handle.ok());
-  ForkServerClient client(std::move(handle->client_sock));
+  auto client = std::make_shared<ForkServerClient>(std::move(handle->client_sock));
   for (int i = 0; i < 3; ++i) {
     Spawner bad("/no/such/thing");
-    auto child = client.Spawn(bad);
+    auto child = LaunchOn(client, bad);
     EXPECT_FALSE(child.ok());
   }
   Spawner good("/bin/true");
-  auto child = client.Spawn(good);
+  auto child = LaunchOn(client, good);
   ASSERT_TRUE(child.ok());
   EXPECT_TRUE(child->Wait().value().Success());
-  ASSERT_TRUE(client.Shutdown().ok());
+  ASSERT_TRUE(client->Shutdown().ok());
   ASSERT_TRUE(WaitForExit(handle->server_pid).ok());
 }
 

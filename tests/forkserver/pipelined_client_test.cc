@@ -58,6 +58,18 @@ SpawnRequest TrueRequest() {
   return std::move(req).value();
 }
 
+// Submit-then-await shorthands over the pipelined API.
+Result<pid_t> Launch(ForkServerClient& client, const SpawnRequest& req) {
+  FORKLIFT_ASSIGN_OR_RETURN(ForkServerClient::PendingReply pending, client.LaunchAsync(req));
+  return pending.AwaitPid();
+}
+
+// `client` must be the channel that launched `pid`.
+Result<ExitStatus> Reap(ForkServerClient& client, pid_t pid) {
+  FORKLIFT_ASSIGN_OR_RETURN(ForkServerClient::PendingReply wait, client.WaitAsync(pid));
+  return wait.AwaitExit();
+}
+
 TEST(PipelinedClientTest, BurstOfAsyncSpawnsAllComplete) {
   InProcessServer srv;
   SpawnRequest req = TrueRequest();
@@ -79,7 +91,7 @@ TEST(PipelinedClientTest, BurstOfAsyncSpawnsAllComplete) {
   }
   EXPECT_EQ(srv.client().outstanding(), 0u);
   for (pid_t pid : pids) {
-    auto st = srv.client().WaitRemote(pid);
+    auto st = Reap(srv.client(), pid);
     ASSERT_TRUE(st.ok()) << st.error().ToString();
     EXPECT_TRUE(st->Success());
   }
@@ -106,9 +118,9 @@ TEST(PipelinedClientTest, ParkedWaitDoesNotBlockTheChannel) {
   ASSERT_TRUE(wait.ok());
   // While that wait is parked, the channel still answers pings and spawns.
   EXPECT_TRUE(srv.client().Ping().ok());
-  auto quick = srv.client().LaunchRequest(TrueRequest());
+  auto quick = Launch(srv.client(), TrueRequest());
   ASSERT_TRUE(quick.ok());
-  auto quick_st = srv.client().WaitRemote(*quick);
+  auto quick_st = Reap(srv.client(), *quick);
   ASSERT_TRUE(quick_st.ok());
   EXPECT_TRUE(quick_st->Success());
   EXPECT_EQ(srv.client().outstanding(), 1u) << "only the parked wait remains";
@@ -129,7 +141,7 @@ TEST(PipelinedClientTest, RepliesCompleteOutOfSubmissionOrder) {
   slow.SetStdin(Stdio::Fd(hold->read_end.get()));
   auto slow_req = slow.BuildRequest();
   ASSERT_TRUE(slow_req.ok());
-  auto slow_pid = srv.client().LaunchRequest(*slow_req);
+  auto slow_pid = Launch(srv.client(), *slow_req);
   ASSERT_TRUE(slow_pid.ok());
   hold->read_end.Reset();
 
@@ -137,9 +149,9 @@ TEST(PipelinedClientTest, RepliesCompleteOutOfSubmissionOrder) {
   auto slow_wait = srv.client().WaitAsync(*slow_pid);
   ASSERT_TRUE(slow_wait.ok());
 
-  auto fast_pid = srv.client().LaunchRequest(TrueRequest());
+  auto fast_pid = Launch(srv.client(), TrueRequest());
   ASSERT_TRUE(fast_pid.ok());
-  auto fast_st = srv.client().WaitRemote(*fast_pid);
+  auto fast_st = Reap(srv.client(), *fast_pid);
   ASSERT_TRUE(fast_st.ok());
   EXPECT_TRUE(fast_st->Success());
 
@@ -206,7 +218,7 @@ TEST(PipelinedClientTest, V1FrameGetsUncorrelatedErrorAndFailsPendingRequests) {
   s.SetStdin(Stdio::Fd(hold->read_end.get()));
   auto req = s.BuildRequest();
   ASSERT_TRUE(req.ok());
-  auto pid = client.LaunchRequest(*req);
+  auto pid = Launch(client, *req);
   ASSERT_TRUE(pid.ok()) << pid.error().ToString();
   hold->read_end.Reset();
   auto wait = client.WaitAsync(*pid);  // parks server-side: the child is alive
@@ -262,7 +274,7 @@ TEST(PipelinedClientTest, MultiThreadedPipelinedStress) {
             ++failures;
             return;
           }
-          auto st = srv.client().WaitRemote(*pid);
+          auto st = Reap(srv.client(), *pid);
           if (!st.ok() || !st->Success()) {
             ++failures;
             return;
@@ -309,15 +321,15 @@ TEST(PipelinedClientTest, FdFramesInterleavedWithAsyncSpawnsDoNotStrand) {
   for (int t = 0; t < kThreads; ++t) {
     spawners.emplace_back([&srv, &req, &failures] {
       for (int i = 0; i < kPerThread; ++i) {
-        auto pid = srv.client().LaunchRequest(req);
+        auto pid = Launch(srv.client(), req);
         if (!pid.ok()) {
-          ADD_FAILURE() << "LaunchRequest: " << pid.error().ToString();
+          ADD_FAILURE() << "Launch: " << pid.error().ToString();
           ++failures;
           return;
         }
-        auto st = srv.client().WaitRemote(*pid);
+        auto st = Reap(srv.client(), *pid);
         if (!st.ok() || !st->Success()) {
-          ADD_FAILURE() << "WaitRemote: " << (st.ok() ? "bad status" : st.error().ToString());
+          ADD_FAILURE() << "Reap: " << (st.ok() ? "bad status" : st.error().ToString());
           ++failures;
           return;
         }

@@ -16,6 +16,7 @@
 #include "src/forkserver/client.h"
 #include "src/forkserver/pool.h"
 #include "src/spawn/spawner.h"
+#include "tests/forkserver/launch_on.h"
 
 namespace forklift {
 namespace {
@@ -27,7 +28,7 @@ class InProcessServer {
   InProcessServer() {
     auto sp = MakeSocketPair();
     EXPECT_TRUE(sp.ok());
-    client_ = std::make_unique<ForkServerClient>(std::move(sp->first));
+    client_ = std::make_shared<ForkServerClient>(std::move(sp->first));
     server_thread_ = std::thread([sock = std::move(sp->second)]() mutable {
       ForkServer server(std::move(sock));
       auto served = server.Serve();
@@ -43,9 +44,10 @@ class InProcessServer {
   }
 
   ForkServerClient& client() { return *client_; }
+  const std::shared_ptr<ForkServerClient>& channel() { return client_; }
 
  private:
-  std::unique_ptr<ForkServerClient> client_;
+  std::shared_ptr<ForkServerClient> client_;
   std::thread server_thread_;
 };
 
@@ -57,7 +59,7 @@ TEST(ForkServerTest, PingPong) {
 TEST(ForkServerTest, SpawnTrueAndWait) {
   InProcessServer srv;
   Spawner s("/bin/true");
-  auto child = srv.client().Spawn(s);
+  auto child = LaunchOn(srv.channel(), s);
   ASSERT_TRUE(child.ok()) << child.error().ToString();
   EXPECT_GT(child->pid(), 0);
   auto st = child->Wait();
@@ -69,7 +71,7 @@ TEST(ForkServerTest, ExitCodePropagates) {
   InProcessServer srv;
   Spawner s("/bin/sh");
   s.Args({"-c", "exit 5"});
-  auto child = srv.client().Spawn(s);
+  auto child = LaunchOn(srv.channel(), s);
   ASSERT_TRUE(child.ok());
   auto st = child->Wait();
   ASSERT_TRUE(st.ok());
@@ -80,7 +82,7 @@ TEST(ForkServerTest, ExitCodePropagates) {
 TEST(ForkServerTest, MissingProgramReportedAsError) {
   InProcessServer srv;
   Spawner s("/no/such/program");
-  auto child = srv.client().Spawn(s);
+  auto child = LaunchOn(srv.channel(), s);
   ASSERT_FALSE(child.ok());
   EXPECT_EQ(child.error().code(), ENOENT) << child.error().ToString();
 }
@@ -92,7 +94,7 @@ TEST(ForkServerTest, OutputThroughTransferredPipe) {
 
   Spawner s("/bin/echo");
   s.Arg("zygote-output").SetStdout(Stdio::Fd(pipe->write_end.get()));
-  auto child = srv.client().Spawn(s);
+  auto child = LaunchOn(srv.channel(), s);
   ASSERT_TRUE(child.ok()) << child.error().ToString();
   pipe->write_end.Reset();
   auto data = ReadAll(pipe->read_end.get());
@@ -111,7 +113,7 @@ TEST(ForkServerTest, StdinThroughTransferredPipe) {
   Spawner s("cat");
   s.SetStdin(Stdio::Fd(in_pipe->read_end.get()))
       .SetStdout(Stdio::Fd(out_pipe->write_end.get()));
-  auto child = srv.client().Spawn(s);
+  auto child = LaunchOn(srv.channel(), s);
   ASSERT_TRUE(child.ok()) << child.error().ToString();
   in_pipe->read_end.Reset();
   out_pipe->write_end.Reset();
@@ -131,7 +133,7 @@ TEST(ForkServerTest, EnvironmentCrossesTheWire) {
   s.Args({"-c", "printf '%s' \"$FORKLIFT_WIRE\""})
       .SetEnv("FORKLIFT_WIRE", "crossed")
       .SetStdout(Stdio::Fd(pipe->write_end.get()));
-  auto child = srv.client().Spawn(s);
+  auto child = LaunchOn(srv.channel(), s);
   ASSERT_TRUE(child.ok());
   pipe->write_end.Reset();
   auto data = ReadAll(pipe->read_end.get());
@@ -142,7 +144,9 @@ TEST(ForkServerTest, EnvironmentCrossesTheWire) {
 
 TEST(ForkServerTest, WaitForUnknownPidFails) {
   InProcessServer srv;
-  auto st = srv.client().WaitRemote(999999);
+  auto wait = srv.client().WaitAsync(999999);
+  ASSERT_TRUE(wait.ok()) << wait.error().ToString();
+  auto st = wait->AwaitExit();
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.error().code(), ECHILD);
 }
@@ -151,7 +155,7 @@ TEST(ForkServerTest, ManySequentialSpawns) {
   InProcessServer srv;
   for (int i = 0; i < 20; ++i) {
     Spawner s("/bin/true");
-    auto child = srv.client().Spawn(s);
+    auto child = LaunchOn(srv.channel(), s);
     ASSERT_TRUE(child.ok()) << "iteration " << i;
     auto st = child->Wait();
     ASSERT_TRUE(st.ok());
@@ -169,9 +173,9 @@ TEST(ForkServerTest, NewChannelServesIndependently) {
   ASSERT_TRUE(srv.client().Ping().ok());
 
   Spawner s("/bin/true");
-  auto via_new = (*channel)->Spawn(s);
+  auto via_new = LaunchOn(std::shared_ptr<ForkServerClient>(std::move(*channel)), s);
   ASSERT_TRUE(via_new.ok());
-  auto via_old = srv.client().Spawn(s);
+  auto via_old = LaunchOn(srv.channel(), s);
   ASSERT_TRUE(via_old.ok());
   EXPECT_TRUE(via_new->Wait().value().Success());
   EXPECT_TRUE(via_old->Wait().value().Success());
@@ -188,7 +192,7 @@ TEST(ForkServerTest, ClosingSecondaryChannelKeepsServerAlive) {
   // Primary still serves.
   ASSERT_TRUE(srv.client().Ping().ok());
   Spawner s("/bin/true");
-  auto child = srv.client().Spawn(s);
+  auto child = LaunchOn(srv.channel(), s);
   ASSERT_TRUE(child.ok());
   EXPECT_TRUE(child->Wait().value().Success());
 }
@@ -199,7 +203,7 @@ TEST(ForkServerTest, ConcurrentClientsOnPrivateChannels) {
   constexpr int kPerThread = 5;
 
   // Channels must be created serially (they ride the primary channel).
-  std::vector<std::unique_ptr<ForkServerClient>> channels;
+  std::vector<std::shared_ptr<ForkServerClient>> channels;
   for (int t = 0; t < kThreads; ++t) {
     auto channel = srv.client().NewChannel();
     ASSERT_TRUE(channel.ok());
@@ -212,7 +216,7 @@ TEST(ForkServerTest, ConcurrentClientsOnPrivateChannels) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
         Spawner s("/bin/true");
-        auto child = channels[static_cast<size_t>(t)]->Spawn(s);
+        auto child = LaunchOn(channels[static_cast<size_t>(t)], s);
         if (!child.ok()) {
           ++failures;
           continue;
@@ -233,17 +237,17 @@ TEST(ForkServerTest, ConcurrentClientsOnPrivateChannels) {
 TEST(ForkServerProcessTest, SeparateProcessServes) {
   auto handle = StartForkServerProcess();
   ASSERT_TRUE(handle.ok());
-  ForkServerClient client(std::move(handle->client_sock));
+  auto client = std::make_shared<ForkServerClient>(std::move(handle->client_sock));
 
-  ASSERT_TRUE(client.Ping().ok());
+  ASSERT_TRUE(client->Ping().ok());
   Spawner s("/bin/true");
-  auto child = client.Spawn(s);
+  auto child = LaunchOn(client, s);
   ASSERT_TRUE(child.ok()) << child.error().ToString();
   auto st = child->Wait();
   ASSERT_TRUE(st.ok());
   EXPECT_TRUE(st->Success());
 
-  ASSERT_TRUE(client.Shutdown().ok());
+  ASSERT_TRUE(client->Shutdown().ok());
   auto server_exit = WaitForExit(handle->server_pid);
   ASSERT_TRUE(server_exit.ok());
   EXPECT_TRUE(server_exit->Success());

@@ -256,5 +256,27 @@ TEST_F(ServiceFallbackTest, RemoteKillAndWait) {
   EXPECT_TRUE(child->KillAndWait().ok());  // idempotent after the reap
 }
 
+// A handle from the sharded route holds the pool that parents its child.
+// The pool here is started lazily by the transport, so once the service and
+// its transport are destroyed the handle is the pool's only owner: its wait
+// must still reach a live shard and report the child's real exit status.
+TEST_F(ServiceFallbackTest, ShardedHandleOutlivesItsServiceAndTransport) {
+  ProcessHandle child;
+  {
+    SpawnService service;
+    service.AddRoute(ShardedTransport::StartLazy(ShardedForkServer::Options{1, true}));
+    Spawner s("/bin/sh");
+    s.Args({"-c", "sleep 0.2; exit 7"});
+    auto spawned = service.Spawn(s, "sharded");
+    ASSERT_TRUE(spawned.ok()) << spawned.error().ToString();
+    EXPECT_EQ(spawned->route(), "sharded");
+    child = std::move(*spawned);
+  }
+  auto st = child.Wait();
+  ASSERT_TRUE(st.ok()) << st.error().ToString();
+  EXPECT_TRUE(st->exited);
+  EXPECT_EQ(st->exit_code, 7);
+}
+
 }  // namespace
 }  // namespace forklift

@@ -1,17 +1,19 @@
-// ShardedForkServer: routed spawns across several zygotes, wait affinity to
-// the owning shard, and transparent restart after a shard is killed — with
-// in-flight requests on the dead shard completing exactly once, as errors.
+// ShardedForkServer: routed spawns across several zygotes, waits on the
+// shard channel that launched each child, and transparent restart after a
+// shard is killed — with in-flight requests on the dead shard completing
+// exactly once, as errors.
 #include "src/forkserver/sharded.h"
 
 #include <gtest/gtest.h>
 #include <signal.h>
 #include <unistd.h>
 
-#include <thread>
+#include <memory>
 #include <vector>
 
 #include "src/common/pipe.h"
 #include "src/spawn/spawner.h"
+#include "tests/forkserver/launch_on.h"
 
 namespace forklift {
 namespace {
@@ -25,10 +27,11 @@ TEST(ShardedForkServerTest, SpawnWaitAcrossTwoShards) {
   EXPECT_TRUE((*pool)->Ping().ok());
 
   // Enough spawns that both shards see traffic under least-outstanding
-  // routing; every one must succeed and wait through its owning shard.
+  // routing; every one must succeed and wait through the shard that
+  // launched it.
   Spawner s("/bin/true");
   for (int i = 0; i < 8; ++i) {
-    auto child = (*pool)->Spawn(s);
+    auto child = LaunchOn(**pool, s);
     ASSERT_TRUE(child.ok()) << child.error().ToString();
     auto st = child->Wait();
     ASSERT_TRUE(st.ok()) << st.error().ToString();
@@ -59,9 +62,12 @@ TEST(ShardedForkServerTest, PipelinedSpawnsAcrossShards) {
     window.push_back(std::move(*p));
   }
   for (auto& p : window) {
+    std::shared_ptr<ForkServerClient> channel = p.channel();
     auto pid = p.AwaitPid();
     ASSERT_TRUE(pid.ok()) << pid.error().ToString();
-    auto st = (*pool)->WaitRemote(*pid);
+    auto wait = channel->WaitAsync(*pid);
+    ASSERT_TRUE(wait.ok()) << wait.error().ToString();
+    auto st = wait->AwaitExit();
     ASSERT_TRUE(st.ok()) << st.error().ToString();
     EXPECT_TRUE(st->Success());
   }
@@ -87,7 +93,7 @@ TEST(ShardedForkServerTest, CrashedShardsRestartTransparently) {
   Spawner s("/bin/true");
   bool spawned = false;
   for (int attempt = 0; attempt < 10 && !spawned; ++attempt) {
-    auto child = (*pool)->Spawn(s);
+    auto child = LaunchOn(**pool, s);
     if (!child.ok()) {
       continue;  // the in-flight race above: completed exactly once, as error
     }
@@ -113,41 +119,34 @@ TEST(ShardedForkServerTest, InFlightWaitOnKilledShardErrorsDoesNotHang) {
   s.SetStdin(Stdio::Fd(hold->read_end.get()));
   auto req = s.BuildRequest();
   ASSERT_TRUE(req.ok());
-  auto pid = (*pool)->LaunchRequest(*req);
+  auto pending = (*pool)->LaunchAsync(*req);
+  ASSERT_TRUE(pending.ok()) << pending.error().ToString();
+  std::shared_ptr<ForkServerClient> channel = pending->channel();
+  auto pid = pending->AwaitPid();
   ASSERT_TRUE(pid.ok()) << pid.error().ToString();
   hold->read_end.Reset();
 
   // Park a wait on the live child, then kill its zygote out from under it.
-  std::thread waiter([&pool, &pid] {
-    auto st = (*pool)->WaitRemote(*pid);
-    // The owning shard died with the wait in flight: the wait must complete
-    // exactly once, with an error — never a success it cannot prove, never a
-    // hang.
-    EXPECT_FALSE(st.ok());
-  });
-  // Give the wait a moment to reach the shard before the kill; correctness
-  // does not depend on the race (either order must produce a clean error).
-  ::usleep(50 * 1000);
+  // The ping behind the wait on the same channel proves the shard has taken
+  // the wait before the kill.
+  auto wait = channel->WaitAsync(*pid);
+  ASSERT_TRUE(wait.ok()) << wait.error().ToString();
+  ASSERT_TRUE(channel->Ping().ok());
   pid_t shard_pid = (*pool)->shard_pids()[0];
   ASSERT_GT(shard_pid, 0);
   ASSERT_EQ(::kill(shard_pid, SIGKILL), 0);
-  waiter.join();
+  // The launching shard died with the wait in flight: the wait must complete
+  // exactly once, with an error — never a success it cannot prove, never a
+  // hang.
+  EXPECT_FALSE(wait->AwaitExit().ok());
+  EXPECT_TRUE(channel->dead());
   hold->write_end.Reset();  // release the now-orphaned child
 
   // The pool recovered: a fresh spawn works on the restarted shard.
-  auto again = (*pool)->Spawn(Spawner("/bin/true"));
+  auto again = LaunchOn(**pool, Spawner("/bin/true"));
   ASSERT_TRUE(again.ok()) << again.error().ToString();
   EXPECT_TRUE(again->Wait().value().Success());
   EXPECT_GE((*pool)->restarts(), 1u);
-  EXPECT_TRUE((*pool)->Shutdown().ok());
-}
-
-TEST(ShardedForkServerTest, WaitForUnknownPidIsAnError) {
-  ShardedForkServer::Options opts;
-  opts.shards = 1;
-  auto pool = ShardedForkServer::Start(opts);
-  ASSERT_TRUE(pool.ok()) << pool.error().ToString();
-  EXPECT_FALSE((*pool)->WaitRemote(999999).ok());
   EXPECT_TRUE((*pool)->Shutdown().ok());
 }
 
@@ -160,7 +159,6 @@ TEST(ShardedForkServerTest, LaunchAfterShutdownFails) {
   auto req = Spawner("/bin/true").BuildRequest();
   ASSERT_TRUE(req.ok());
   EXPECT_FALSE((*pool)->LaunchAsync(*req).ok());
-  EXPECT_FALSE((*pool)->LaunchRequest(*req).ok());
 }
 
 }  // namespace

@@ -5,12 +5,14 @@
 #include <unistd.h>
 
 #include <cstdlib>
+#include <memory>
 #include <string>
 
 #include "src/common/clock.h"
 #include "src/forkserver/client.h"
 #include "src/obs/export.h"
 #include "src/spawn/spawner.h"
+#include "tests/forkserver/launch_on.h"
 
 namespace forklift {
 namespace {
@@ -18,6 +20,17 @@ namespace {
 #ifndef FORKLIFTD_BIN
 #error "FORKLIFTD_BIN must be defined by the build"
 #endif
+
+// A daemon channel as a shared_ptr: the handles LaunchOn returns hold the
+// channel their waits ride on. Null (with a test failure) if the connect fails.
+std::shared_ptr<ForkServerClient> Connect(const std::string& path) {
+  auto client = ForkServerClient::ConnectPath(path);
+  EXPECT_TRUE(client.ok()) << client.error().ToString();
+  if (!client.ok()) {
+    return nullptr;
+  }
+  return std::move(*client);
+}
 
 class ForkliftdTest : public ::testing::Test {
  protected:
@@ -73,11 +86,11 @@ TEST_F(ForkliftdTest, ConnectAndPing) {
 }
 
 TEST_F(ForkliftdTest, SpawnThroughDaemon) {
-  auto client = ForkServerClient::ConnectPath(socket_path_);
-  ASSERT_TRUE(client.ok());
+  auto client = Connect(socket_path_);
+  ASSERT_NE(client, nullptr);
   Spawner s("/bin/sh");
   s.Args({"-c", "exit 11"});
-  auto child = (*client)->Spawn(s);
+  auto child = LaunchOn(client, s);
   ASSERT_TRUE(child.ok()) << child.error().ToString();
   auto st = child->Wait();
   ASSERT_TRUE(st.ok());
@@ -85,16 +98,16 @@ TEST_F(ForkliftdTest, SpawnThroughDaemon) {
 }
 
 TEST_F(ForkliftdTest, MultipleIndependentConnections) {
-  auto a = ForkServerClient::ConnectPath(socket_path_);
-  auto b = ForkServerClient::ConnectPath(socket_path_);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_TRUE((*a)->Ping().ok());
-  EXPECT_TRUE((*b)->Ping().ok());
+  auto a = Connect(socket_path_);
+  auto b = Connect(socket_path_);
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  EXPECT_TRUE(a->Ping().ok());
+  EXPECT_TRUE(b->Ping().ok());
 
   Spawner s("/bin/true");
-  auto ca = (*a)->Spawn(s);
-  auto cb = (*b)->Spawn(s);
+  auto ca = LaunchOn(a, s);
+  auto cb = LaunchOn(b, s);
   ASSERT_TRUE(ca.ok());
   ASSERT_TRUE(cb.ok());
   EXPECT_TRUE(ca->Wait().value().Success());
@@ -166,14 +179,14 @@ TEST(ForkliftdShardsTest, ShardedDaemonServesAndShutsDown) {
 
   // Concurrent clients land on (potentially) different shard zygotes; each
   // connection must spawn and wait normally.
-  auto a = ForkServerClient::ConnectPath(socket_path);
-  auto b = ForkServerClient::ConnectPath(socket_path);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
+  auto a = Connect(socket_path);
+  auto b = Connect(socket_path);
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
   Spawner s("/bin/sh");
   s.Args({"-c", "exit 7"});
-  auto child_a = (*a)->Spawn(s);
-  auto child_b = (*b)->Spawn(s);
+  auto child_a = LaunchOn(a, s);
+  auto child_b = LaunchOn(b, s);
   ASSERT_TRUE(child_a.ok()) << child_a.error().ToString();
   ASSERT_TRUE(child_b.ok()) << child_b.error().ToString();
   EXPECT_EQ(child_a->Wait().value().exit_code, 7);
@@ -181,7 +194,7 @@ TEST(ForkliftdShardsTest, ShardedDaemonServesAndShutsDown) {
 
   // Shutting down one shard winds down the whole supervisor, which removes
   // the socket file on its way out.
-  ASSERT_TRUE((*a)->Shutdown().ok());
+  ASSERT_TRUE(a->Shutdown().ok());
   auto st = daemon->WaitDeadline(10.0);
   ASSERT_TRUE(st.ok());
   ASSERT_TRUE(st->has_value()) << "supervisor did not exit after shutdown";
@@ -243,13 +256,13 @@ TEST(ForkliftdMetricsTest, MetricsSocketServesBothFormatsAndCountsSpawns) {
   // A burst of spawns over two connections, so both shards can see traffic —
   // the shared metrics arena must still produce one coherent total.
   constexpr int kSpawns = 6;
-  auto a = ForkServerClient::ConnectPath(socket_path);
-  auto b = ForkServerClient::ConnectPath(socket_path);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
+  auto a = Connect(socket_path);
+  auto b = Connect(socket_path);
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
   Spawner s("/bin/true");
   for (int i = 0; i < kSpawns; ++i) {
-    auto child = (i % 2 == 0 ? *a : *b)->Spawn(s);
+    auto child = LaunchOn(i % 2 == 0 ? a : b, s);
     ASSERT_TRUE(child.ok()) << child.error().ToString();
     EXPECT_TRUE(child->Wait().value().Success());
   }
@@ -283,7 +296,7 @@ TEST(ForkliftdMetricsTest, MetricsSocketServesBothFormatsAndCountsSpawns) {
   auto bogus = (*scraper)->Stats(static_cast<obs::StatsFormat>(7));
   EXPECT_FALSE(bogus.ok());
 
-  ASSERT_TRUE((*a)->Shutdown().ok());
+  ASSERT_TRUE(a->Shutdown().ok());
   auto st = daemon->WaitDeadline(10.0);
   ASSERT_TRUE(st.ok());
   ASSERT_TRUE(st->has_value()) << "supervisor did not exit after shutdown";
@@ -305,14 +318,14 @@ TEST(ForkliftdDaemonTest, DaemonModeDetachesAndServes) {
   ASSERT_TRUE((*st)->Success());
 
   // The daemon (NOT our child) is serving immediately.
-  auto client = ForkServerClient::ConnectPath(socket_path);
-  ASSERT_TRUE(client.ok()) << client.error().ToString();
-  ASSERT_TRUE((*client)->Ping().ok());
+  auto client = Connect(socket_path);
+  ASSERT_NE(client, nullptr);
+  ASSERT_TRUE(client->Ping().ok());
   Spawner s("/bin/true");
-  auto child = (*client)->Spawn(s);
+  auto child = LaunchOn(client, s);
   ASSERT_TRUE(child.ok());
   EXPECT_TRUE(child->Wait().value().Success());
-  ASSERT_TRUE((*client)->Shutdown().ok());
+  ASSERT_TRUE(client->Shutdown().ok());
 }
 
 }  // namespace

@@ -34,6 +34,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -160,6 +161,13 @@ class HandleGuard {
   ProcessHandle* handle_;
 };
 
+// Collects a zygote child's exit status with a kWait on `channel`, which must
+// be the channel that launched it (only that server is its parent).
+Result<ExitStatus> AwaitExitOn(ForkServerClient& channel, pid_t pid) {
+  FORKLIFT_ASSIGN_OR_RETURN(ForkServerClient::PendingReply wait, channel.WaitAsync(pid));
+  return wait.AwaitExit();
+}
+
 // Reclaims the fork-server process: polite wait first (a clean Shutdown or
 // client-socket EOF makes it exit on its own), SIGKILL if it lingers.
 class ServerGuard {
@@ -262,13 +270,17 @@ Status ScenarioForkServer() {
     if (!pipe.ok()) return Err(pipe.error());
     Spawner spawner("/bin/echo");
     spawner.Arg("zygote-ok").SetStdout(Stdio::Fd(pipe->write_end.get()));
-    auto remote = client.Spawn(spawner);
-    if (!remote.ok()) return Err(remote.error());
+    auto echo_req = spawner.BuildRequest();
+    if (!echo_req.ok()) return Err(echo_req.error());
+    auto echo = client.LaunchAsync(*echo_req);
+    if (!echo.ok()) return Err(echo.error());
+    auto echo_pid = echo->AwaitPid();
+    if (!echo_pid.ok()) return Err(echo_pid.error());
     pipe->write_end.Reset();  // ours; the transferred copy is the server's
     auto out = ReadAll(pipe->read_end.get());
     if (!out.ok()) return Err(out.error());
     if (*out != "zygote-ok\n") return LogicalError("forkserver: echo output mismatch");
-    auto status = remote->Wait();
+    auto status = AwaitExitOn(client, *echo_pid);
     if (!status.ok()) return Err(status.error());
     if (!status->Success()) {
       return LogicalError("forkserver: remote child failed: " + status->ToString());
@@ -288,7 +300,7 @@ Status ScenarioForkServer() {
     for (auto& pending : burst) {
       auto pid = pending.AwaitPid();
       if (!pid.ok()) return Err(pid.error());
-      auto st = client.WaitRemote(*pid);
+      auto st = AwaitExitOn(client, *pid);
       if (!st.ok()) return Err(st.error());
       if (!st->Success()) {
         return LogicalError("forkserver: burst child failed: " + st->ToString());
@@ -417,28 +429,34 @@ Status ScenarioSharded() {
       window.push_back(std::move(*p));
     }
     for (auto& p : window) {
+      std::shared_ptr<ForkServerClient> channel = p.channel();
       auto pid = p.AwaitPid();
       if (!pid.ok()) return Err(pid.error());
-      auto st = (*pool)->WaitRemote(*pid);
+      auto st = AwaitExitOn(*channel, *pid);
       if (!st.ok()) return Err(st.error());
       if (!st->Success()) return LogicalError("sharded: child failed: " + st->ToString());
     }
   }
 
-  // Crash mid-pipeline: a live (held) child plus unawaited spawns in flight,
-  // then SIGKILL every shard. The awaits below must all COMPLETE — a success
-  // that raced ahead of the kill or a clean transport error are both fine;
-  // what the invariants (watchdog, fd diff, zombie probe) rule out is a hang,
-  // a loss, or a double-completion.
+  // Crash mid-pipeline: a live (held) child whose wait is parked on its
+  // shard, plus unawaited spawns in flight, then SIGKILL every shard. The
+  // awaits below must all COMPLETE — a success that raced ahead of the kill
+  // or a clean transport error are both fine; what the invariants (watchdog,
+  // fd diff, zombie probe) rule out is a hang, a loss, or a double-completion.
   auto hold = MakePipe(/*cloexec=*/true);
   if (!hold.ok()) return Err(hold.error());
   Spawner held("/bin/cat");
   held.SetStdin(Stdio::Fd(hold->read_end.get()));
   auto held_req = held.BuildRequest();
   if (!held_req.ok()) return Err(held_req.error());
-  auto held_pid = (*pool)->LaunchRequest(*held_req);
+  auto held_launch = (*pool)->LaunchAsync(*held_req);
+  if (!held_launch.ok()) return Err(held_launch.error());
+  std::shared_ptr<ForkServerClient> held_channel = held_launch->channel();
+  auto held_pid = held_launch->AwaitPid();
   if (!held_pid.ok()) return Err(held_pid.error());
   hold->read_end.Reset();
+  auto held_wait = held_channel->WaitAsync(*held_pid);
+  if (!held_wait.ok()) return Err(held_wait.error());
 
   std::vector<ShardedForkServer::PendingSpawn> inflight;
   for (int i = 0; i < 3; ++i) {
@@ -450,22 +468,30 @@ Status ScenarioSharded() {
     if (shard > 0) (void)::kill(shard, SIGKILL);
   }
   for (auto& p : inflight) {
+    std::shared_ptr<ForkServerClient> channel = p.channel();
     auto pid = p.AwaitPid();
     if (pid.ok()) {
-      (void)(*pool)->WaitRemote(*pid);  // completes: status or clean error
+      (void)AwaitExitOn(*channel, *pid);  // completes: status or clean error
     }
   }
-  (void)(*pool)->WaitRemote(*held_pid);  // parked on a dead shard: clean error
-  hold->write_end.Reset();               // release the orphaned cat to init
+  // Parked on a dead shard while the cat is still held: a clean error.
+  auto held_status = held_wait->AwaitExit();
+  hold->write_end.Reset();  // release the orphaned cat to init
+  if (held_status.ok()) {
+    return LogicalError("sharded: wait on a killed shard reported " + held_status->ToString());
+  }
 
   // Transparent restart: a spawn submitted before the router observed the
   // dead channels completes exactly once as an error and is not retried, so
   // allow a bounded number of attempts for the restart to take.
   bool recovered = false;
   for (int attempt = 0; attempt < 10 && !recovered; ++attempt) {
-    auto pid = (*pool)->LaunchRequest(*req);
+    auto p = (*pool)->LaunchAsync(*req);
+    if (!p.ok()) continue;
+    std::shared_ptr<ForkServerClient> channel = p->channel();
+    auto pid = p->AwaitPid();
     if (!pid.ok()) continue;
-    auto st = (*pool)->WaitRemote(*pid);
+    auto st = AwaitExitOn(*channel, *pid);
     recovered = st.ok() && st->Success();
   }
   if (!recovered) return LogicalError("sharded: pool never recovered after shard kill");
