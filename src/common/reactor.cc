@@ -360,13 +360,14 @@ Result<ChildWatch> ChildWatch::Arm(Reactor& reactor, pid_t pid,
       (void)state->reactor->RemoveFd(state->pidfd);
       State::Fire(state);
     });
-    if (!added.ok()) {
-      return Err(added.error());
+    if (added.ok()) {
+      return watch;
     }
-    return watch;
+    watch.pidfd_.Reset();
   }
-  // pidfd_open unavailable (pre-5.3 kernel, seccomp, ESRCH race): poll the
-  // pid through reactor timers instead, same escalation as the legacy loop.
+  // No pidfd to watch (pre-5.3 kernel, seccomp, ESRCH race, or epoll refused
+  // it): poll the pid through reactor timers instead, same escalation as the
+  // legacy loop.
   State::ArmFallbackTimer(watch.state_);
   return watch;
 }

@@ -11,10 +11,11 @@
 //
 // ChildWatch is the lifecycle primitive built on top: it arms a one-shot
 // "this pid became waitable" callback through pidfd_open(2) (Linux ≥ 5.3).
-// Where pidfd_open is unavailable (old kernel, seccomp filter), it degrades
-// to reactor-timer polling with the same 50µs→5ms escalation the old code
-// used — but driven by timerfd through the same epoll set, so callers are
-// written once against one API and never sleep-poll themselves.
+// Where there is no pidfd to watch (old kernel, seccomp filter, or epoll
+// refusing to register it), it degrades to reactor-timer polling with the
+// same 50µs→5ms escalation the old code used — but driven by timerfd through
+// the same epoll set, so callers are written once against one API and never
+// sleep-poll themselves.
 #ifndef SRC_COMMON_REACTOR_H_
 #define SRC_COMMON_REACTOR_H_
 
@@ -104,6 +105,7 @@ class Reactor {
 class ChildWatch {
  public:
   ChildWatch() = default;
+  // Fails only for pid <= 0: a watch that cannot ride a pidfd polls instead.
   static Result<ChildWatch> Arm(Reactor& reactor, pid_t pid, std::function<void()> on_exit);
 
   ChildWatch(const ChildWatch&) = delete;

@@ -104,11 +104,9 @@ void ForkServer::CloseChannel(int fd) {
   channels_.erase(fd);
   // Waits parked by this channel die with it — their fd number may be reused
   // by the next accept, and a reply there would correlate to a stranger.
-  for (auto& [pid, waiters] : parked_waits_) {
-    (void)pid;
-    std::erase_if(waiters, [fd](const ParkedWait& w) { return w.sock == fd; });
+  for (auto& entry : children_) {
+    std::erase_if(entry.second.waiters, [fd](const ParkedWait& w) { return w.sock == fd; });
   }
-  std::erase_if(parked_waits_, [](const auto& entry) { return entry.second.empty(); });
   for (auto it = socks_.begin(); it != socks_.end(); ++it) {
     if (it->get() == fd) {
       socks_.erase(it);
@@ -135,10 +133,7 @@ void ForkServer::OnListenerReadable(int listener_fd) {
 void ForkServer::QueueReply(int sock, std::string_view payload) {
   auto it = channels_.find(sock);
   if (it == channels_.end()) {
-    // Not a registered channel (closed underneath a parked wait, or a test
-    // driving handlers directly): best-effort immediate send.
-    (void)SendFrame(sock, payload);
-    return;
+    return;  // closed while this reply's wait was parked: its client is gone
   }
   const uint32_t len = static_cast<uint32_t>(payload.size());
   char prefix[sizeof(len)];
@@ -251,18 +246,30 @@ void ForkServer::OnChannelReadable(int fd) {
   }
 }
 
-void ForkServer::CompleteParkedWaits(pid_t pid, const ExitStatus& status) {
-  auto it = parked_waits_.find(pid);
-  if (it == parked_waits_.end()) {
+void ForkServer::OnChildExit(pid_t pid) {
+  auto it = children_.find(pid);
+  if (it == children_.end()) {
     return;
   }
-  std::vector<ParkedWait> waiters = std::move(it->second);
-  parked_waits_.erase(it);
-  live_children_.erase(pid);
-  exited_.erase(pid);
+  // Reap the instant the watch fires so the zombie is short-lived. A reap
+  // that finds nothing still answers: a parked wait must not outlive its
+  // child.
   WaitReply reply;
-  reply.ok = true;
-  reply.status = status;
+  int raw = 0;
+  if (::waitpid(pid, &raw, WNOHANG) == pid) {
+    reply.ok = true;
+    reply.status = DecodeWaitStatus(raw);
+  } else {
+    reply.err = ECHILD;
+    reply.context = "forkserver: pid " + std::to_string(pid) + " exited but was not reaped";
+  }
+  if (reply.ok && it->second.waiters.empty()) {
+    it->second.exit = reply.status;  // collected by the next kWait
+    it->second.watch = ChildWatch();  // closes the pidfd: only the status is kept
+    return;
+  }
+  std::vector<ParkedWait> waiters = std::move(it->second.waiters);
+  children_.erase(it);
   for (const auto& w : waiters) {
     QueueReply(w.sock, EncodeWaitReply(reply, w.request_id));
     Status sent = FlushReplies(w.sock);
@@ -271,30 +278,6 @@ void ForkServer::CompleteParkedWaits(pid_t pid, const ExitStatus& status) {
       // gone, not the server — drop the channel and keep serving.
       CloseChannel(w.sock);
     }
-  }
-}
-
-void ForkServer::ArmChildExitWatch(pid_t pid) {
-  if (!reactor_.has_value()) {
-    return;
-  }
-  // Eagerly reap the instant the pidfd signals so the zombie is short-lived
-  // and the eventual kWait is served from exited_ without blocking — and any
-  // wait already parked on this child is answered right here, out of order
-  // with whatever else the channels are doing. A reap that finds nothing
-  // leaves no cache entry.
-  auto watch = ChildWatch::Arm(*reactor_, pid, [this, pid] {
-    int raw = 0;
-    pid_t reaped = ::waitpid(pid, &raw, WNOHANG);
-    if (reaped == pid) {
-      ExitStatus status = DecodeWaitStatus(raw);
-      exited_.emplace(pid, status);
-      CompleteParkedWaits(pid, status);
-    }
-    watches_.erase(pid);
-  });
-  if (watch.ok()) {
-    watches_.emplace(pid, std::move(*watch));
   }
 }
 
@@ -357,11 +340,10 @@ Result<uint64_t> ForkServer::Serve() {
     }
   }
 
-  // Drop every registration (watches first — they deregister against the
-  // reactor) so no callback capturing `this` outlives Serve. Waits still
+  // Drop every registration (exit watches first — they deregister against
+  // the reactor) so no callback capturing `this` outlives Serve. Waits still
   // parked die with their channels; their clients see EOF.
-  watches_.clear();
-  parked_waits_.clear();
+  children_.clear();
   channels_.clear();
   reactor_.reset();
   if (sigusr1_fd_.valid()) {
@@ -404,7 +386,7 @@ Result<bool> ForkServer::HandleFrame(int sock, Frame frame) {
       return true;
     }
     case MsgType::kWait: {
-      FORKLIFT_RETURN_IF_ERROR(HandleWait(sock, frame.payload, id));
+      HandleWait(sock, frame.payload, id);
       return true;
     }
     case MsgType::kStats: {
@@ -489,8 +471,11 @@ void ForkServer::HandleSpawn(int sock, const std::string& payload, std::vector<U
   } else {
     reply.ok = true;
     reply.pid = static_cast<int32_t>(*pid);
-    live_children_.insert(*pid);
-    ArmChildExitWatch(*pid);
+    // The kernel hands out a pid again only after we reaped its last holder,
+    // so an entry already on it is an exit nobody collected: replace it.
+    // Arm fails only for a pid <= 0, which no launch returns.
+    children_.insert_or_assign(*pid, ChildEntry{}).first->second.watch =
+        ChildWatch::Arm(*reactor_, *pid, [this, p = *pid] { OnChildExit(p); }).value();
     ++spawns_handled_;
     // Server-side view in the shared arena: with shards forked after the
     // registry arena exists, every shard's spawns land in one counter.
@@ -526,55 +511,27 @@ void ForkServer::HandleStats(int sock, const std::string& payload, uint64_t requ
   QueueReply(sock, EncodeStatsReply(reply, request_id));
 }
 
-Status ForkServer::HandleWait(int sock, const std::string& payload, uint64_t request_id) {
+void ForkServer::HandleWait(int sock, const std::string& payload, uint64_t request_id) {
   auto pid = DecodeWait(payload);
   WaitReply reply;
+  auto it = pid.ok() ? children_.find(static_cast<pid_t>(*pid)) : children_.end();
   if (!pid.ok()) {
-    reply.ok = false;
     reply.context = pid.error().ToString();
-  } else if (live_children_.count(static_cast<pid_t>(*pid)) == 0) {
-    reply.ok = false;
+  } else if (it == children_.end()) {
     reply.err = ECHILD;
     reply.context = "forkserver: pid " + std::to_string(*pid) + " is not a live child";
+  } else if (it->second.exit.has_value()) {
+    // The exit watch already reaped: answer immediately and forget the child.
+    reply.ok = true;
+    reply.status = *it->second.exit;
+    children_.erase(it);
   } else {
-    pid_t p = static_cast<pid_t>(*pid);
-    auto cached = exited_.find(p);
-    if (cached != exited_.end()) {
-      // The reactor already observed the exit and reaped: answer immediately.
-      reply.ok = true;
-      reply.status = cached->second;
-      exited_.erase(cached);
-      live_children_.erase(p);
-    } else if (watches_.count(p) > 0) {
-      // Not yet exited: park the wait on the child's exit watch and keep the
-      // channel moving. The reply is sent by CompleteParkedWaits when the
-      // pidfd fires.
-      parked_waits_[p].push_back(ParkedWait{sock, request_id});
-      return Status::Ok();
-    } else {
-      // The child's exit watch failed to arm (fault recovery): there is
-      // nothing to park on, so block in waitpid. This stalls all channels
-      // until the child exits. Flush anything already queued on this channel
-      // first: a coalesced burst's earlier replies must not sit unsent behind
-      // a potentially unbounded child lifetime.
-      FORKLIFT_RETURN_IF_ERROR(FlushReplies(sock));
-      auto st = WaitForExit(p);
-      if (!st.ok()) {
-        reply.ok = false;
-        reply.err = st.error().code();
-        reply.context = st.error().ToString();
-      } else {
-        reply.ok = true;
-        reply.status = *st;
-        live_children_.erase(p);
-        // Waits parked while a watch that fired without reaping was still
-        // registered complete with the status this blocking reap obtained.
-        CompleteParkedWaits(p, *st);
-      }
-    }
+    // Not yet exited: park the wait on the child's exit watch and keep the
+    // channel moving. OnChildExit answers it.
+    it->second.waiters.push_back(ParkedWait{sock, request_id});
+    return;
   }
   QueueReply(sock, EncodeWaitReply(reply, request_id));
-  return Status::Ok();
 }
 
 Result<ForkServerHandle> StartForkServerProcess() {

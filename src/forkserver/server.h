@@ -7,11 +7,11 @@
 // requests. Additional channels are adopted at runtime via kNewChannel frames
 // carrying a socket (SCM_RIGHTS), so each client thread can own a private
 // channel. One Reactor multiplexes everything Serve watches: client channels,
-// the daemon listener, and a pidfd per live child — so a child's exit is
-// observed (and its status cached for the eventual kWait) without any
+// the daemon listener, and an exit watch per live child — so a child's exit
+// is observed (and its status cached for the eventual kWait) without any
 // polling tick. Single-threaded by design: a zygote must stay small and must
 // not hold locks across its forks. Replies are answered out of order: a kWait
-// for a child that has not yet exited parks on that child's pidfd watch and
+// for a child that has not yet exited parks on that child's exit watch and
 // is answered when the exit is observed, so it never blocks the channel.
 #ifndef SRC_FORKSERVER_SERVER_H_
 #define SRC_FORKSERVER_SERVER_H_
@@ -20,7 +20,6 @@
 
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -61,9 +60,6 @@ class ForkServer {
   // client and do not end the loop.
   Result<uint64_t> Serve();
 
-  // Children spawned but not yet waited (visible for tests).
-  const std::set<pid_t>& live_children() const { return live_children_; }
-
   // Shard mode (SpawnShardProcess): the forked shard serves the inherited
   // listeners but must not unlink the socket files — the supervising parent
   // owns them.
@@ -73,10 +69,19 @@ class ForkServer {
   }
 
  private:
-  // A kWait for a live child, parked until its pidfd watch fires.
+  // A kWait for a live child, parked until its exit watch fires.
   struct ParkedWait {
     int sock = -1;
     uint64_t request_id = 0;
+  };
+
+  // One child, from the spawn that launched it until its exit is collected:
+  // by the exit that answers its parked waits, or by the first kWait after
+  // the exit was cached.
+  struct ChildEntry {
+    ChildWatch watch;
+    std::optional<ExitStatus> exit;   // reaped, not yet collected
+    std::vector<ParkedWait> waiters;  // kWaits parked until the exit
   };
 
   // Per-channel wire state: the receive-side reassembly buffer and the
@@ -92,18 +97,19 @@ class ForkServer {
   Result<bool> HandleFrame(int sock, struct Frame frame);
   void HandleSpawn(int sock, const std::string& payload, std::vector<UniqueFd> fds,
                    uint64_t request_id);
-  Status HandleWait(int sock, const std::string& payload, uint64_t request_id);
+  void HandleWait(int sock, const std::string& payload, uint64_t request_id);
   void HandleStats(int sock, const std::string& payload, uint64_t request_id);
   // Dups every received descriptor above the plan-reachable range
   // (faultinject site `forkserver.relocate_fd`); errno error on failure.
   Result<std::vector<UniqueFd>> RelocateFds(std::vector<UniqueFd> fds);
-  // Appends one framed reply to `sock`'s coalescing buffer (falls back to a
-  // direct send for unregistered sockets).
+  // Appends one framed reply to `sock`'s coalescing buffer (dropped if the
+  // channel is gone).
   void QueueReply(int sock, std::string_view payload);
   // Writes the channel's queued replies in one gathered write.
   Status FlushReplies(int sock);
-  // Answers every wait parked on `pid` with `status` and forgets the child.
-  void CompleteParkedWaits(pid_t pid, const ExitStatus& status);
+  // Exit-watch callback: reaps `pid`, then answers its parked waits and
+  // forgets it, or caches the status for the next kWait.
+  void OnChildExit(pid_t pid);
 
   // Reactor plumbing for Serve: channel/listener registration and the
   // callbacks they dispatch to. Callbacks record failures in serve_error_
@@ -112,9 +118,6 @@ class ForkServer {
   void OnChannelReadable(int fd);
   void OnListenerReadable(int listener_fd);
   void CloseChannel(int fd);
-  // Watches `pid` on the reactor; when it exits, the status is reaped into
-  // exited_ so a later kWait is served without blocking.
-  void ArmChildExitWatch(pid_t pid);
 
   ForkServer() = default;
 
@@ -128,16 +131,13 @@ class ForkServer {
   UniqueFd metrics_listener_;
   std::string metrics_listen_path_;
   bool sigusr1_dump_ = false;
-  std::set<pid_t> live_children_;
   uint64_t spawns_handled_ = 0;
 
-  // Serve-scoped state. The reactor is declared before the watches so the
+  // Serve-scoped state. The reactor is declared before the children so their
   // watches (which deregister against it) are destroyed first.
   std::optional<Reactor> reactor_;
   UniqueFd sigusr1_fd_;  // signalfd for the stats dump, when enabled
-  std::map<pid_t, ChildWatch> watches_;
-  std::map<pid_t, ExitStatus> exited_;  // reaped ahead of the client's kWait
-  std::map<pid_t, std::vector<ParkedWait>> parked_waits_;
+  std::map<pid_t, ChildEntry> children_;
   bool stop_serving_ = false;
   Status serve_error_;
 };

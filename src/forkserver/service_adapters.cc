@@ -22,6 +22,15 @@ class RemoteProcessImpl final : public ProcessHandle::Impl {
                     std::shared_ptr<ShardedForkServer> pool)
       : channel_(std::move(channel)), pid_(pid), pool_(std::move(pool)) {}
 
+  ~RemoteProcessImpl() override {
+    // Dropped without a wait: submit one anyway and abandon it, so the server
+    // forgets the child when it exits instead of caching an exit nobody will
+    // collect. The abandoned slot is freed when the reply arrives.
+    if (!wait_submitted_ && !channel_->dead()) {
+      (void)channel_->WaitAsync(pid_);
+    }
+  }
+
   pid_t pid() const override { return pid_; }
 
   Result<ExitStatus> Wait() override {
@@ -51,6 +60,7 @@ class RemoteProcessImpl final : public ProcessHandle::Impl {
       return Status::Ok();
     }
     FORKLIFT_ASSIGN_OR_RETURN(wait_, channel_->WaitAsync(pid_));
+    wait_submitted_ = true;
     return Status::Ok();
   }
 
@@ -60,6 +70,7 @@ class RemoteProcessImpl final : public ProcessHandle::Impl {
   // MakeRemoteProcessHandle.
   std::shared_ptr<ShardedForkServer> pool_;
   ForkServerClient::PendingReply wait_;
+  bool wait_submitted_ = false;
 };
 
 }  // namespace

@@ -34,9 +34,12 @@ namespace forklift {
 // Wraps a fork-server child in a ProcessHandle. `channel` must be the one
 // that launched `pid`. Wait/TryWait/WaitDeadline park a single kWait on it
 // (submitted lazily on the first wait, kept in flight across deadline
-// timeouts); Kill is a plain kill(2) since pids share our namespace. `pool`
-// (optional) is the sharded pool that routed the spawn: the handle holds it,
-// so the shard that parents the child outlives its transport and service.
+// timeouts); Kill is a plain kill(2) since pids share our namespace. A handle
+// dropped before any wait submits a kWait and abandons it, so the server
+// still collects the exit and forgets the child (nothing is sent if the
+// channel is dead). `pool` (optional) is the sharded pool that routed the
+// spawn: the handle holds it, so the shard that parents the child outlives
+// its transport and service.
 ProcessHandle MakeRemoteProcessHandle(std::shared_ptr<ForkServerClient> channel, pid_t pid,
                                       std::string route,
                                       std::shared_ptr<ShardedForkServer> pool = nullptr);

@@ -41,12 +41,12 @@ struct ExecFailure {
 // plan's fd range internally.
 //
 // `caller_mask` is for engines that share the caller's memory and block
-// every signal across the launch (clone-vm): it is the caller's own mask,
-// which the child execs with when `req.reset_signal_mask` is off. With it
-// set, the child also drops every caught signal to SIG_DFL before unblocking
-// anything, even when `req.reset_signal_handlers` is off: a handler run in
-// the child would run on the caller's memory, and execve resets caught
-// signals anyway.
+// every signal across the launch (clone-vm, vfork): it is the caller's own
+// mask, which the child execs with when `req.reset_signal_mask` is off. With
+// it set, the child also drops every caught signal to SIG_DFL before
+// unblocking anything, even when `req.reset_signal_handlers` is off: a
+// handler run in the child would run on the caller's memory, and execve
+// resets caught signals anyway.
 [[noreturn]] void ChildExec(const SpawnRequest& req, const char* const* exec_paths, int err_fd,
                             const sigset_t* caller_mask = nullptr);
 

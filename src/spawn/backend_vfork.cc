@@ -5,9 +5,15 @@
 // child runs on the parent's stack, so everything it touches must be dead by
 // the time the parent resumes. We confine the child to a noinline helper whose
 // frames sit below the vfork frame and which terminates only via exec or
-// _exit — the same discipline glibc's posix_spawn uses internally.
+// _exit — the same discipline glibc's posix_spawn uses internally. Like the
+// clone-vm engine, it blocks every signal across vfork(): a caught signal
+// landing in the child before ChildExec resets the handlers would run the
+// handler on our memory.
+#include <pthread.h>
+#include <signal.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <vector>
 
 #include "src/common/pipe.h"
@@ -21,8 +27,8 @@ namespace {
 // Must not be inlined into the vfork frame: its locals live strictly below the
 // suspended parent's stack pointer and are dead when the parent resumes.
 [[gnu::noinline]] void VforkChild(const SpawnRequest& req, const char* const* targets,
-                                  int err_fd) {
-  internal::ChildExec(req, targets, err_fd);
+                                  int err_fd, const sigset_t* caller_mask) {
+  internal::ChildExec(req, targets, err_fd, caller_mask);
 }
 
 class VforkEngine : public SpawnBackend {
@@ -45,13 +51,23 @@ class VforkEngine : public SpawnBackend {
     int err_fd = exec_pipe.write_end.get();
     const SpawnRequest* req_ptr = &req;
 
+    // The child starts with every signal blocked and takes the caller's mask
+    // with it, to exec with unless the request clears the mask.
+    sigset_t all;
+    sigset_t caller_mask;
+    sigfillset(&all);
+    ::pthread_sigmask(SIG_BLOCK, &all, &caller_mask);
+
     pid_t pid = ::vfork();
-    if (pid < 0) {
-      return ErrnoError("vfork");
-    }
     if (pid == 0) {
-      VforkChild(*req_ptr, targets_ptr, err_fd);
+      VforkChild(*req_ptr, targets_ptr, err_fd, &caller_mask);
       _exit(127);  // unreachable; ChildExec never returns
+    }
+    int vfork_errno = errno;
+    ::pthread_sigmask(SIG_SETMASK, &caller_mask, nullptr);
+    if (pid < 0) {
+      errno = vfork_errno;
+      return ErrnoError("vfork");
     }
     exec_pipe.write_end.Reset();
     FORKLIFT_RETURN_IF_ERROR(internal::AwaitExec(exec_pipe.read_end.get(), pid));

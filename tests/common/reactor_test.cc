@@ -1,7 +1,8 @@
 // Reactor + ChildWatch: the epoll/timerfd event loop under the event-driven
 // child lifecycle. Covers fd dispatch, timer ordering/cancellation, and exit
 // watches over both notification paths (pidfd and the forced timer-poll
-// fallback a pre-5.3 kernel would take).
+// fallback a pre-5.3 kernel would take), and the fallback taken when epoll
+// refuses the pidfd.
 #include "src/common/reactor.h"
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 
 #include "src/common/clock.h"
 #include "src/common/pipe.h"
+#include "src/faultinject/faultinject.h"
 
 namespace forklift {
 namespace {
@@ -248,6 +250,43 @@ INSTANTIATE_TEST_SUITE_P(PidfdAndFallback, ChildWatchBothPaths, ::testing::Value
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "TimerPollFallback" : "Pidfd";
                          });
+
+// A pidfd that epoll refuses to register is not a failed watch: Arm falls
+// back to timer polling, and the watch still fires exactly once.
+TEST(ChildWatchTest, RefusedPidfdFallsBackToPolling) {
+  if (!PidfdAvailable()) {
+    GTEST_SKIP() << "pidfd_open unavailable on this kernel";
+  }
+  auto reactor = Reactor::Create();
+  ASSERT_TRUE(reactor.ok());
+  ParkedChild child = ParkedChild::Start();
+  ASSERT_GT(child.pid, 0);
+
+  fault::PlanSpec spec;
+  spec.site = "reactor.epoll_ctl_add";
+  spec.mode = fault::Mode::kEnomem;
+  spec.nth = 1;
+  fault::InstallPlan(spec);
+  int fires = 0;
+  auto watch = ChildWatch::Arm(*reactor, child.pid, [&fires] { ++fires; });
+  const uint64_t injected = fault::InjectionsFired();
+  fault::ClearPlan();
+  ASSERT_EQ(injected, 1u);
+  ASSERT_TRUE(watch.ok()) << watch.error().ToString();
+  EXPECT_FALSE(watch->using_pidfd());
+  EXPECT_EQ(reactor->fd_watch_count(), 0u);
+
+  child.release.Reset();
+  Stopwatch sw;
+  while (fires == 0) {
+    ASSERT_TRUE(reactor->PollOnce(100).ok());
+    ASSERT_LT(sw.ElapsedSeconds(), 5.0) << "watch never fired";
+  }
+  ASSERT_TRUE(reactor->PollOnce(50).ok());
+  EXPECT_EQ(fires, 1);
+  EXPECT_FALSE(watch->armed());
+  child.Reap();
+}
 
 }  // namespace
 }  // namespace forklift

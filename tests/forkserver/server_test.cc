@@ -3,14 +3,24 @@
 // ecosystem copes" experiments in executable form.
 #include "src/forkserver/server.h"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sched.h>
+#include <signal.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <filesystem>
+#include <iterator>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
 
+#include "src/common/clock.h"
 #include "src/common/pipe.h"
 #include "src/common/syscall.h"
 #include "src/forkserver/client.h"
@@ -149,6 +159,181 @@ TEST(ForkServerTest, WaitForUnknownPidFails) {
   auto st = wait->AwaitExit();
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.error().code(), ECHILD);
+}
+
+// A handle dropped without a wait leaves one abandoned kWait on its channel.
+// The server answers it when the child exits and forgets the child, so no
+// exit stays cached for a wait that will never come.
+TEST(ForkServerTest, DroppedHandleCollectsItsExit) {
+  InProcessServer srv;
+  pid_t pid = -1;
+  {
+    Spawner s("/bin/sleep");
+    s.Arg("0.2");
+    auto child = LaunchOn(srv.channel(), s);
+    ASSERT_TRUE(child.ok()) << child.error().ToString();
+    pid = child->pid();
+  }
+  EXPECT_EQ(srv.client().outstanding(), 1u);
+  Stopwatch sw;
+  while (srv.client().outstanding() != 0) {
+    ASSERT_LT(sw.ElapsedSeconds(), 5.0) << "abandoned wait never answered";
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  auto wait = srv.client().WaitAsync(pid);
+  ASSERT_TRUE(wait.ok()) << wait.error().ToString();
+  auto st = wait->AwaitExit();
+  ASSERT_FALSE(st.ok()) << "the exit was still cached";
+  EXPECT_EQ(st.error().code(), ECHILD);
+}
+
+size_t OpenFdCount() {
+  auto fds = std::filesystem::directory_iterator("/proc/self/fd");
+  return static_cast<size_t>(std::distance(begin(fds), end(fds)));
+}
+
+// An exit nobody has collected yet is kept as a status alone: the server
+// closes the child's pidfd as soon as it reaps it.
+TEST(ForkServerTest, UncollectedExitHoldsNoDescriptor) {
+  InProcessServer srv;
+  ASSERT_TRUE(srv.client().Ping().ok());
+  const size_t baseline = OpenFdCount();
+  auto req = Spawner("/bin/true").BuildRequest();
+  ASSERT_TRUE(req.ok());
+  std::vector<pid_t> pids;
+  for (int i = 0; i < 8; ++i) {
+    auto launch = srv.client().LaunchAsync(*req);
+    ASSERT_TRUE(launch.ok());
+    auto pid = launch->AwaitPid();
+    ASSERT_TRUE(pid.ok()) << pid.error().ToString();
+    pids.push_back(*pid);
+  }
+  Stopwatch sw;
+  for (pid_t pid : pids) {
+    while (::kill(pid, 0) == 0) {
+      ASSERT_LT(sw.ElapsedSeconds(), 5.0) << "child " << pid << " never reaped";
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  // The server answers this only after the exit callbacks that reaped.
+  ASSERT_TRUE(srv.client().Ping().ok());
+  EXPECT_EQ(OpenFdCount(), baseline);
+  for (pid_t pid : pids) {
+    auto wait = srv.client().WaitAsync(pid);
+    ASSERT_TRUE(wait.ok());
+    auto st = wait->AwaitExit();
+    ASSERT_TRUE(st.ok()) << st.error().ToString();
+    EXPECT_TRUE(st->Success());
+  }
+}
+
+// Makes the next pid this namespace hands out `last` + 1. False when
+// ns_last_pid is not writable (it needs CAP_SYS_ADMIN).
+bool SetLastPid(pid_t last) {
+  int fd = ::open("/proc/sys/kernel/ns_last_pid", O_WRONLY | O_CLOEXEC);
+  if (fd < 0) {
+    return false;
+  }
+  std::string text = std::to_string(last);
+  bool written = ::write(fd, text.data(), text.size()) == static_cast<ssize_t>(text.size());
+  ::close(fd);
+  return written;
+}
+
+constexpr int kSkipped = 77;
+
+// Runs `scenario` as pid 1 of a fresh pid namespace, so the ns_last_pid
+// writes it makes steer only its own forks, never another test's. Returns
+// its exit code: 0 when its assertions held, kSkipped when it set `skipped`
+// or no pid namespace could be made.
+int RunInOwnPidNamespace(void (*scenario)(bool* skipped)) {
+  std::fflush(nullptr);
+  pid_t child = ::fork();
+  if (child == 0) {
+    if (::unshare(CLONE_NEWPID) != 0) {
+      ::_exit(kSkipped);
+    }
+    pid_t init = ::fork();
+    if (init == 0) {
+      bool skipped = false;
+      scenario(&skipped);
+      std::fflush(nullptr);
+      ::_exit(::testing::Test::HasFailure() ? 1 : skipped ? kSkipped : 0);
+    }
+    int status = 0;
+    if (init < 0 || ::waitpid(init, &status, 0) != init || !WIFEXITED(status)) {
+      ::_exit(2);
+    }
+    ::_exit(WEXITSTATUS(status));
+  }
+  int status = 0;
+  if (child < 0 || ::waitpid(child, &status, 0) != child || !WIFEXITED(status)) {
+    return 2;
+  }
+  return WEXITSTATUS(status);
+}
+
+// The kernel hands a pid out again once the server has reaped its last
+// holder. An exit that nobody collected must not answer a wait on the next
+// child to get that pid.
+void StaleExitOnReusedPid(bool* skipped) {
+  InProcessServer srv;
+  ForkServerClient& client = srv.client();
+  auto stale_req = Spawner("/bin/false").BuildRequest();
+  ASSERT_TRUE(stale_req.ok());
+  auto stale_launch = client.LaunchAsync(*stale_req);
+  ASSERT_TRUE(stale_launch.ok());
+  auto stale = stale_launch->AwaitPid();
+  ASSERT_TRUE(stale.ok()) << stale.error().ToString();
+  // Never waited on: the server reaps it on exit, which frees the pid.
+  Stopwatch reaped;
+  while (::kill(*stale, 0) == 0) {
+    ASSERT_LT(reaped.ElapsedSeconds(), 5.0) << "stale child never reaped";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  Spawner sleeper("/bin/sleep");
+  sleeper.Arg("0.3");
+  auto req = sleeper.BuildRequest();
+  ASSERT_TRUE(req.ok());
+  for (int attempt = 0; attempt < 20; ++attempt) {
+    if (!SetLastPid(*stale - 1)) {
+      std::printf("/proc/sys/kernel/ns_last_pid is not writable\n");
+      *skipped = true;
+      return;
+    }
+    Stopwatch since_launch;
+    auto launch = client.LaunchAsync(*req);
+    ASSERT_TRUE(launch.ok());
+    auto pid = launch->AwaitPid();
+    ASSERT_TRUE(pid.ok()) << pid.error().ToString();
+    if (*pid != *stale) {
+      // Something else took the pid first: collect this child and retry.
+      (void)::kill(*pid, SIGKILL);
+      auto wait = client.WaitAsync(*pid);
+      ASSERT_TRUE(wait.ok());
+      ASSERT_TRUE(wait->AwaitExit().ok());
+      continue;
+    }
+    auto wait = client.WaitAsync(*pid);
+    ASSERT_TRUE(wait.ok());
+    auto st = wait->AwaitExit();
+    const double elapsed = since_launch.ElapsedSeconds();
+    ASSERT_TRUE(st.ok()) << st.error().ToString();
+    EXPECT_TRUE(st->Success()) << "the stale exit answered the new child's wait";
+    EXPECT_GE(elapsed, 0.3);
+    return;
+  }
+  std::printf("pid %d was not reused within 20 launches\n", static_cast<int>(*stale));
+  *skipped = true;
+}
+
+TEST(ForkServerTest, WaitOnReusedPidWaitsForTheNewChild) {
+  const int code = RunInOwnPidNamespace(StaleExitOnReusedPid);
+  if (code == kSkipped) {
+    GTEST_SKIP() << "needs a pid namespace with a writable ns_last_pid";
+  }
+  EXPECT_EQ(code, 0) << "the scenario's failures are printed above";
 }
 
 TEST(ForkServerTest, ManySequentialSpawns) {

@@ -1,8 +1,8 @@
-// The clone(CLONE_VM|CLONE_VFORK) engine runs the child on this process's
-// memory until exec. A caught signal landing in the child before ChildExec
-// resets the handlers would run the handler on that shared memory, so the
-// engine blocks every signal across clone(), restores the caller's mask in
-// the parent, and hands it to the child to exec with.
+// The clone(CLONE_VM|CLONE_VFORK) and vfork engines run the child on this
+// process's memory until exec. A caught signal landing in the child before
+// ChildExec resets the handlers would run the handler on that shared memory,
+// so each engine blocks every signal across the launch, restores the caller's
+// mask in the parent, and hands it to the child to exec with.
 #include <gtest/gtest.h>
 #include <pthread.h>
 #include <signal.h>
@@ -21,7 +21,7 @@ namespace forklift {
 namespace {
 
 pid_t g_test_pid = 0;
-// Written by a handler that runs in a clone-vm child, i.e. on our memory.
+// Written by a handler that runs in a shared-memory child, i.e. on our memory.
 volatile sig_atomic_t g_foreign_pid = 0;
 
 void RecordForeignPid(int) {
@@ -42,7 +42,7 @@ bool SameMask(const sigset_t& a, const sigset_t& b) {
 
 // Runs in a forked copy of the test process (see the test below) and
 // returns its exit code: 0 clean, else the first invariant broken.
-int SignalStormDuringCloneVmSpawns() {
+int SignalStormDuringSpawns(SpawnBackendKind engine) {
   g_test_pid = ::getpid();
   // Lead a fresh process group: a group-directed signal then reaches every
   // child from clone() on, since children inherit the group.
@@ -79,7 +79,7 @@ int SignalStormDuringCloneVmSpawns() {
     // Every other spawn keeps its handlers and mask: the child unblocks
     // SIGUSR1 again before exec, so its caught handler must be gone anyway.
     auto child = Spawner("/bin/true")
-                     .SetBackend(SpawnBackendKind::kCloneVm)
+                     .SetBackend(engine)
                      .ResetSignals(i % 2 == 0)
                      .Spawn();
     // The storm may kill a child before or after exec; only the launch
@@ -109,18 +109,20 @@ int SignalStormDuringCloneVmSpawns() {
   return 0;
 }
 
+class CloneVmSignalTest : public ::testing::TestWithParam<SpawnBackendKind> {};
+
 // The storm runs in a fork of the test process (a death-test child), so the
 // fresh process group holds only it and its children — never a pipeline
 // sharing the test runner's group.
-TEST(CloneVmSignalTest, NoHandlerRunsInTheChildAndTheMaskIsRestored) {
-  EXPECT_EXIT(std::_Exit(SignalStormDuringCloneVmSpawns()), ::testing::ExitedWithCode(0), "");
+TEST_P(CloneVmSignalTest, NoHandlerRunsInTheChildAndTheMaskIsRestored) {
+  EXPECT_EXIT(std::_Exit(SignalStormDuringSpawns(GetParam())), ::testing::ExitedWithCode(0), "");
 }
 
 // SigBlk of the exec'd program, from its /proc/self/status.
-uint64_t ChildBlockedMask(bool reset_signals) {
+uint64_t ChildBlockedMask(SpawnBackendKind engine, bool reset_signals) {
   auto out = Spawner("/bin/cat")
                  .Arg("/proc/self/status")
-                 .SetBackend(SpawnBackendKind::kCloneVm)
+                 .SetBackend(engine)
                  .ResetSignals(reset_signals)
                  .SetStdout(Stdio::Pipe())
                  .Spawn();
@@ -144,8 +146,8 @@ uint64_t ChildBlockedMask(bool reset_signals) {
 }
 
 // Without the mask reset the child execs with the caller's mask — not the
-// all-blocked mask the engine holds across clone(). With it, nothing.
-TEST(CloneVmSignalTest, ChildExecsWithTheCallersMask) {
+// all-blocked mask the engine holds across the launch. With it, nothing.
+TEST_P(CloneVmSignalTest, ChildExecsWithTheCallersMask) {
   sigset_t block;
   sigemptyset(&block);
   sigaddset(&block, SIGUSR2);
@@ -161,11 +163,17 @@ TEST(CloneVmSignalTest, ChildExecsWithTheCallersMask) {
       expected |= uint64_t{1} << (sig - 1);
     }
   }
-  EXPECT_EQ(ChildBlockedMask(/*reset_signals=*/false), expected);
-  EXPECT_EQ(ChildBlockedMask(/*reset_signals=*/true), 0u);
+  EXPECT_EQ(ChildBlockedMask(GetParam(), /*reset_signals=*/false), expected);
+  EXPECT_EQ(ChildBlockedMask(GetParam(), /*reset_signals=*/true), 0u);
 
   ASSERT_EQ(::pthread_sigmask(SIG_SETMASK, &saved, nullptr), 0);
 }
+
+INSTANTIATE_TEST_SUITE_P(SharedMemoryEngines, CloneVmSignalTest,
+                         ::testing::Values(SpawnBackendKind::kCloneVm, SpawnBackendKind::kVfork),
+                         [](const ::testing::TestParamInfo<SpawnBackendKind>& info) {
+                           return info.param == SpawnBackendKind::kCloneVm ? "CloneVm" : "Vfork";
+                         });
 
 }  // namespace
 }  // namespace forklift

@@ -177,7 +177,7 @@ class ServerGuard {
   // Blocking reap through the WaitPid wrapper, for the success path where the
   // server has acknowledged shutdown and is guaranteed to exit. Keeps the
   // syscall.waitpid site deterministically in this scenario's trace (the
-  // zygote's own WaitForExit hit races against its pidfd exit cache).
+  // zygote reaps its children with a raw waitpid, not the wrapper).
   Status Reap() {
     pid_t pid = pid_;
     pid_ = -1;
